@@ -109,6 +109,7 @@ class DetectionSession:
                 design_name=self._design.name,
                 analysis=analysis,
                 golden=_golden_for(self._design, self._config),
+                graph=None if sequential else self._design.graph,
             )
         return self._flow
 
@@ -429,6 +430,7 @@ class BatchSession:
                     module=design.module,
                     config=config,
                     analysis=analysis,
+                    graph=None if sequential else design.graph,
                     cache=open_result_cache(config),
                     golden=_golden_for(design, config),
                 )

@@ -59,6 +59,7 @@ class TrojanDetectionFlow:
         design_name: Optional[str] = None,
         analysis: Optional[FanoutAnalysis] = None,
         golden: Optional[Module] = None,
+        graph: Optional[DependencyGraph] = None,
     ) -> None:
         self._module = module
         # Reports and events carry the *design* name (e.g. the benchmark
@@ -77,9 +78,11 @@ class TrojanDetectionFlow:
             self._graph = None
             self._analysis = None
         else:
-            self._graph = DependencyGraph(module)
-            # A pre-computed fanout analysis (e.g. Design.analysis()'s cache)
-            # may be passed in; it must match the config's traced inputs.
+            # A pre-built graph (Design.graph) and a pre-computed fanout
+            # analysis (Design.analysis()'s cache) may be passed in; the
+            # graph must be the module's, the analysis must match the
+            # config's traced inputs.
+            self._graph = graph if graph is not None else DependencyGraph(module)
             self._analysis = analysis if analysis is not None else compute_fanout_classes(
                 module, inputs=self._config.inputs, graph=self._graph
             )

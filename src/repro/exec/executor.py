@@ -24,6 +24,7 @@ enqueued thanks to the bounded feeder).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import queue as _queue
@@ -236,8 +237,11 @@ class SerialExecutor(Executor):
         seeds: Optional[Dict[str, ContextSeed]] = None,
     ) -> None:
         self._units = units
-        self._seeds = seeds or {}
-        self._contexts = ContextPool(self._build_context)
+        self._seeds = dict(seeds or {})
+        # The pool's factory must not reach the executor: that cycle would
+        # keep every seeded flow and its engine alive until a full garbage
+        # collection instead of freeing them when the audit ends.
+        self._contexts = ContextPool(functools.partial(_seeded_context, units, self._seeds))
         self._cancelled: Set[str] = set()
         self._pending: "deque[Task]" = deque()
         self._done: Dict[int, ChunkOutcome] = {}
@@ -245,16 +249,6 @@ class SerialExecutor(Executor):
     @property
     def workers(self) -> int:
         return 1
-
-    def _build_context(self, design_key: str) -> DesignWorkContext:
-        seed = self._seeds.get(design_key, ContextSeed())
-        engine = seed.engine_factory() if seed.engine_factory is not None else None
-        return DesignWorkContext(
-            self._units[design_key],
-            engine=engine,
-            analysis=seed.analysis,
-            graph=seed.graph,
-        )
 
     def submit(self, tasks: Sequence[Task], urgent: bool = False) -> None:
         if urgent:
@@ -306,6 +300,20 @@ class SerialExecutor(Executor):
 
     def close(self) -> None:
         self._contexts.clear()
+        self._seeds.clear()
+
+
+def _seeded_context(
+    units: Dict[str, WorkUnit], seeds: Dict[str, ContextSeed], design_key: str
+) -> DesignWorkContext:
+    seed = seeds.get(design_key, ContextSeed())
+    engine = seed.engine_factory() if seed.engine_factory is not None else None
+    return DesignWorkContext(
+        units[design_key],
+        engine=engine,
+        analysis=seed.analysis,
+        graph=seed.graph,
+    )
 
 
 # ---------------------------------------------------------------------- #

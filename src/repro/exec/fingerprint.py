@@ -26,7 +26,7 @@ a numpy run warms it for a machine without numpy.
 from __future__ import annotations
 
 import hashlib
-from typing import List
+from typing import Dict, List
 
 from repro.core.config import DetectionConfig
 from repro.rtl import exprs
@@ -70,8 +70,13 @@ class _Hasher:
         return self._digest.hexdigest()
 
 
-def _feed_expr(hasher: _Hasher, root: exprs.Expr) -> None:
-    """Feed a canonical pre-order token stream of ``root`` (iterative)."""
+def _feed_expr(hasher: _Hasher, root: exprs.Expr, lut_texts: Dict[int, str]) -> None:
+    """Feed a canonical pre-order token stream of ``root`` (iterative).
+
+    ``lut_texts`` caches the text of each ROM table by identity: every
+    instance of an inferred ROM shares one table tuple, so each distinct
+    table is turned into text once.
+    """
     stack: List[object] = [root]
     while stack:
         node = stack.pop()
@@ -101,7 +106,9 @@ def _feed_expr(hasher: _Hasher, root: exprs.Expr) -> None:
             hasher.feed(f"slice/{node.width}/{node.lsb}")
             stack.append(node.base)
         elif isinstance(node, exprs.Lut):
-            table = ",".join(str(entry) for entry in node.table)
+            table = lut_texts.get(id(node.table))
+            if table is None:
+                table = lut_texts[id(node.table)] = ",".join(map(str, node.table))
             hasher.feed(f"lut/{node.width}/{table}")
             stack.append(node.index)
         else:  # future node types must not silently alias an existing hash
@@ -111,6 +118,8 @@ def _feed_expr(hasher: _Hasher, root: exprs.Expr) -> None:
 def module_fingerprint(module: Module) -> str:
     """SHA-256 of the canonical serialization of an elaborated module."""
     hasher = _Hasher()
+    # Keyed by id(): valid because ``module`` keeps every table alive.
+    lut_texts: Dict[int, str] = {}
     hasher.feed("module")
     hasher.feed(module.name)
     for section, table in (("inputs", module.inputs), ("outputs", module.outputs),
@@ -127,12 +136,12 @@ def module_fingerprint(module: Module) -> str:
     hasher.feed("comb")
     for name in sorted(module.comb):
         hasher.feed(name)
-        _feed_expr(hasher, module.comb[name])
+        _feed_expr(hasher, module.comb[name], lut_texts)
     hasher.feed("registers")
     for name in sorted(module.registers):
         register = module.registers[name]
         hasher.feed(f"{name}/{register.width}/{register.reset_value}")
-        _feed_expr(hasher, register.next)
+        _feed_expr(hasher, register.next, lut_texts)
     return hasher.hexdigest()
 
 

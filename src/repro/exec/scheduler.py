@@ -213,6 +213,8 @@ class DesignPlan:
         else:
             golden = None  # a stray golden model must not leak into cache keys
             if analysis is None:
+                # Keep the graph: the coverage check reuses it.
+                graph = graph if graph is not None else DependencyGraph(module)
                 analysis = compute_fanout_classes(module, inputs=config.inputs, graph=graph)
             depth = analysis.placement_depth
             if config.max_class is not None:

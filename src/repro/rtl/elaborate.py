@@ -69,6 +69,9 @@ class _Elaborator:
         self._partial_drivers: Dict[str, List[Tuple[int, exprs.Expr]]] = {}
         self._sequential_clocks: List[str] = []
         self._sequential_resets: List[str] = []
+        # Inferred ROM tables, shared by every instance whose case statement
+        # and parameter values agree (see _ProcessExecutor._rom_table).
+        self._rom_tables: Dict[tuple, Optional[Tuple[str, Tuple[int, ...]]]] = {}
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -748,6 +751,29 @@ class _ProcessExecutor:
         index_width = subject.width
         if index_width > self._ROM_INFERENCE_MAX_INDEX_WIDTH:
             return False
+        # The table depends only on the statement, the index width and the
+        # parameter values (constants evaluate against nothing else), so it
+        # is built once per elaboration and shared by every such instance.
+        key = (id(statement), index_width, tuple(sorted(self._scope.params.items())))
+        tables = self._elaborator._rom_tables
+        if key not in tables:
+            tables[key] = self._rom_table(statement, index_width)
+        rom = tables[key]
+        if rom is None:
+            return False
+        target, table = rom
+        info = self._scope.signals.get(target)
+        if info is None:
+            return False
+        lut = exprs.Lut(width=info.width, index=subject, table=table)
+        self.updates[target] = lut
+        self.blocking[target] = lut
+        return True
+
+    def _rom_table(
+        self, statement: ast.Case, index_width: int
+    ) -> Optional[Tuple[str, Tuple[int, ...]]]:
+        """``(target, table)`` of a fully constant case statement, or None."""
         target: Optional[str] = None
         entries: Dict[int, int] = {}
         default_value: Optional[int] = None
@@ -756,15 +782,15 @@ class _ProcessExecutor:
             if isinstance(body, ast.Block) and len(body.statements) == 1:
                 body = body.statements[0]
             if not isinstance(body, ast.Assignment) or not isinstance(body.lhs, ast.Ident):
-                return False
+                return None
             if target is None:
                 target = body.lhs.name
             elif target != body.lhs.name:
-                return False
+                return None
             try:
                 value = self._elaborator._const_eval(body.rhs, self._scope)
             except ElaborationError:
-                return False
+                return None
             if not item.labels:
                 default_value = value
                 continue
@@ -772,24 +798,15 @@ class _ProcessExecutor:
                 try:
                     label_value = self._elaborator._const_eval(label, self._scope)
                 except ElaborationError:
-                    return False
+                    return None
                 entries[label_value & ((1 << index_width) - 1)] = value
         if target is None:
-            return False
+            return None
         size = 1 << index_width
         if default_value is None and len(entries) < size:
-            return False
-        info = self._scope.signals.get(target)
-        if info is None:
-            return False
-        table = tuple(
-            entries.get(index, default_value if default_value is not None else 0)
-            for index in range(size)
-        )
-        lut = exprs.Lut(width=info.width, index=subject, table=table)
-        self.updates[target] = lut
-        self.blocking[target] = lut
-        return True
+            return None
+        fill = default_value if default_value is not None else 0
+        return target, tuple(entries.get(index, fill) for index in range(size))
 
     def _exec_case(self, statement: ast.Case) -> None:
         if self._try_rom_inference(statement):

@@ -221,8 +221,37 @@ def walk(expr: Expr) -> Iterator[Expr]:
 
 
 def support(expr: Expr) -> Set[str]:
-    """Names of all signals the expression combinationally depends on."""
-    return {node.name for node in walk(expr) if isinstance(node, Ref)}
+    """Names of all signals the expression combinationally depends on.
+
+    Visits each shared sub-expression once: elaborated drivers are DAGs
+    (one ROM index or mux condition feeds many bits), not trees.  The
+    traversal is inlined rather than built on :func:`walk` because it runs
+    on every driver of every design.
+    """
+    names: Set[str] = set()
+    seen: Set[int] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Ref):
+            names.add(node.name)
+        elif isinstance(node, Unop):
+            stack.append(node.operand)
+        elif isinstance(node, Binop):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, Mux):
+            stack.extend((node.cond, node.then, node.otherwise))
+        elif isinstance(node, Concat):
+            stack.extend(node.parts)
+        elif isinstance(node, Slice):
+            stack.append(node.base)
+        elif isinstance(node, Lut):
+            stack.append(node.index)
+    return names
 
 
 def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:

@@ -14,10 +14,7 @@ This module provides those views on top of :class:`repro.rtl.ir.Module`:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Set
-
-import networkx as nx
 
 from repro.errors import ElaborationError
 from repro.rtl import exprs
@@ -26,33 +23,34 @@ from repro.utils.graphs import find_cycle
 
 
 class DependencyGraph:
-    """Structural dependency analysis over a flat module."""
+    """Structural dependency analysis over a flat module.
+
+    Construction computes the support of every combinational driver once
+    and rejects combinational loops.  Support queries are cached, so one
+    graph per design should be built and shared by the fanout analysis, the
+    flow and the coverage check.
+    """
 
     def __init__(self, module: Module) -> None:
         self._module = module
-        self._comb_graph = self._build_comb_graph()
+        # Driver map: each combinational signal -> the signals its driver reads.
+        self._drivers: Dict[str, FrozenSet[str]] = {
+            name: frozenset(exprs.support(expr)) for name, expr in module.comb.items()
+        }
         self._check_comb_cycles()
         self._leaf_support_cache: Dict[str, FrozenSet[str]] = {}
+        self._next_state_cache: Dict[str, FrozenSet[str]] = {}
 
     @property
     def module(self) -> Module:
         return self._module
 
-    # ------------------------------------------------------------------ #
-    # Graph construction
-    # ------------------------------------------------------------------ #
-
-    def _build_comb_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._module.signals)
-        for name, expr in self._module.comb.items():
-            for dependency in exprs.support(expr):
-                graph.add_edge(dependency, name)
-        return graph
-
     def _check_comb_cycles(self) -> None:
-        cycle = find_cycle(self._comb_graph)
+        # A cycle of the driver map runs against the data flow; report it
+        # along the data flow, each signal feeding the next.
+        cycle = find_cycle(self._drivers)
         if cycle:
+            cycle.reverse()
             raise ElaborationError(
                 "combinational loop detected through signals: " + " -> ".join(cycle[:8])
             )
@@ -69,7 +67,7 @@ class DependencyGraph:
         """Primary inputs and registers the expression transitively depends on."""
         result: Set[str] = set()
         for name in exprs.support(expr):
-            result |= self.leaf_support(name)
+            result |= self._leaf_support(name)
         return result
 
     def leaf_support(self, name: str) -> Set[str]:
@@ -79,19 +77,19 @@ class DependencyGraph:
         time point is a leaf); combinational wires and outputs are expanded
         through their drivers.
         """
+        return set(self._leaf_support(name))
+
+    def _leaf_support(self, name: str) -> FrozenSet[str]:
         cached = self._leaf_support_cache.get(name)
-        if cached is not None:
-            return set(cached)
-        result = self._compute_leaf_support(name)
-        self._leaf_support_cache[name] = frozenset(result)
-        return set(result)
+        if cached is None:
+            cached = frozenset(self._compute_leaf_support(name))
+            self._leaf_support_cache[name] = cached
+        return cached
 
     def _compute_leaf_support(self, name: str) -> Set[str]:
-        if self.is_leaf(name):
-            return {name}
-        driver = self._module.comb.get(name)
-        if driver is None:
-            # Undriven wire: treat as its own leaf so problems stay visible.
+        if self.is_leaf(name) or name not in self._drivers:
+            # Leaves stand for themselves; so does an undriven wire, so that
+            # problems stay visible.
             return {name}
         result: Set[str] = set()
         stack: List[str] = [name]
@@ -104,45 +102,52 @@ class DependencyGraph:
             if current != name and self.is_leaf(current):
                 result.add(current)
                 continue
-            expr = self._module.comb.get(current)
-            if expr is None:
+            dependencies = self._drivers.get(current)
+            if dependencies is None:
                 if current != name:
                     result.add(current)
                 continue
-            stack.extend(exprs.support(expr))
+            stack.extend(dependencies)
         return result
 
     def next_state_leaf_support(self, register: str) -> Set[str]:
         """Leaf support of the next-state function of ``register``."""
-        return self.leaf_support_of_expr(self._module.registers[register].next)
+        return set(self._next_state_support(register))
+
+    def _next_state_support(self, register: str) -> FrozenSet[str]:
+        cached = self._next_state_cache.get(register)
+        if cached is None:
+            cached = frozenset(self.leaf_support_of_expr(self._module.registers[register].next))
+            self._next_state_cache[register] = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     # One-clock-cycle register-level graph
     # ------------------------------------------------------------------ #
 
-    def cycle_graph(self, data_inputs: Iterable[str] | None = None) -> nx.DiGraph:
-        """Graph whose edge ``a -> b`` means: the value of leaf ``a`` at cycle t
-        can affect the value of state/output signal ``b`` at cycle t+1 (for
-        registers) or the combinational value of output ``b`` (for outputs).
+    def cycle_graph(self, data_inputs: Iterable[str] | None = None) -> Dict[str, Set[str]]:
+        """Successor map whose edge ``a -> b`` means: the value of leaf ``a``
+        at cycle t can affect the value of state/output signal ``b`` at cycle
+        t+1 (for registers) or the combinational value of output ``b`` (for
+        outputs).
 
-        Nodes are primary data inputs, registers and primary outputs.
+        Every primary data input, register and primary output is a key.
         """
         module = self._module
         inputs = set(data_inputs) if data_inputs is not None else set(module.data_inputs())
-        graph = nx.DiGraph()
-        graph.add_nodes_from(inputs)
-        graph.add_nodes_from(module.registers)
-        graph.add_nodes_from(module.outputs)
+        graph: Dict[str, Set[str]] = {
+            node: set() for node in (*inputs, *module.registers, *module.outputs)
+        }
         for register in module.registers:
-            for leaf in self.next_state_leaf_support(register):
+            for leaf in self._next_state_support(register):
                 if leaf in inputs or leaf in module.registers:
-                    graph.add_edge(leaf, register)
+                    graph[leaf].add(register)
         for output in module.outputs:
             if output in module.registers:
                 continue
-            for leaf in self.leaf_support(output):
+            for leaf in self._leaf_support(output):
                 if leaf in inputs or leaf in module.registers:
-                    graph.add_edge(leaf, output)
+                    graph[leaf].add(output)
         return graph
 
     # ------------------------------------------------------------------ #
@@ -159,11 +164,11 @@ class DependencyGraph:
         module = self._module
         result: Set[str] = set()
         for register in module.registers:
-            if self.next_state_leaf_support(register) & sources:
+            if not sources.isdisjoint(self._next_state_support(register)):
                 result.add(register)
         for output in module.outputs:
             if output in module.registers:
                 continue
-            if self.leaf_support(output) & sources:
+            if not sources.isdisjoint(self._leaf_support(output)):
                 result.add(output)
         return result

@@ -12,9 +12,8 @@ The simulator serves three purposes in this repository:
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Dict, Iterable, List, Optional
-
-import networkx as nx
 
 from repro.errors import SimulationError
 from repro.rtl import exprs
@@ -49,15 +48,15 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     def _combinational_order(self) -> List[str]:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._module.comb)
-        for name, expr in self._module.comb.items():
-            for dependency in exprs.support(expr):
-                if dependency in self._module.comb:
-                    graph.add_edge(dependency, name)
+        comb = self._module.comb
+        predecessors = {
+            name: [dependency for dependency in exprs.support(expr) if dependency in comb]
+            for name, expr in comb.items()
+        }
+        sorter = TopologicalSorter(predecessors)
         try:
-            return list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as error:
+            return list(sorter.static_order())
+        except CycleError as error:
             raise SimulationError("combinational loop detected during simulation setup") from error
 
     # ------------------------------------------------------------------ #

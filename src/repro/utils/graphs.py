@@ -1,30 +1,23 @@
-"""Graph helpers built on networkx used by netlist and fanout analysis."""
+"""Graph helpers for the netlist and fanout analysis.
+
+A graph is a plain successor mapping: ``graph[node]`` iterates the nodes
+that ``node`` has an edge to.  Nodes that only appear as successors need no
+entry of their own.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Dict, Hashable, Iterable, List, Mapping
 
-import networkx as nx
-
-
-def reachable_from(graph: nx.DiGraph, sources: Iterable[Hashable]) -> Set[Hashable]:
-    """All nodes reachable from any of ``sources`` (excluding unreachable sources)."""
-    seen: Set[Hashable] = set()
-    stack = [node for node in sources if node in graph]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(successor for successor in graph.successors(node) if successor not in seen)
-    return seen
+Graph = Mapping[Hashable, Iterable[Hashable]]
 
 
-def bfs_distances(graph: nx.DiGraph, sources: Iterable[Hashable]) -> Dict[Hashable, int]:
+def bfs_distances(graph: Graph, sources: Iterable[Hashable]) -> Dict[Hashable, int]:
     """Minimum hop distance from any source to every reachable node.
 
     Sources themselves get distance 0.  Nodes not reachable from any source are
-    absent from the returned mapping.
+    absent from the returned mapping, and so are sources without an entry in
+    ``graph``.
     """
     distances: Dict[Hashable, int] = {}
     frontier: List[Hashable] = []
@@ -35,7 +28,7 @@ def bfs_distances(graph: nx.DiGraph, sources: Iterable[Hashable]) -> Dict[Hashab
     while frontier:
         next_frontier: List[Hashable] = []
         for node in frontier:
-            for successor in graph.successors(node):
+            for successor in graph.get(node, ()):
                 if successor not in distances:
                     distances[successor] = distances[node] + 1
                     next_frontier.append(successor)
@@ -43,15 +36,34 @@ def bfs_distances(graph: nx.DiGraph, sources: Iterable[Hashable]) -> Dict[Hashab
     return distances
 
 
-def topological_order(graph: nx.DiGraph) -> List[Hashable]:
-    """Topological order of a DAG; raises ``networkx.NetworkXUnfeasible`` on cycles."""
-    return list(nx.topological_sort(graph))
+def find_cycle(graph: Graph) -> List[Hashable]:
+    """One cycle ``[n0, n1, ..., nk]`` of ``graph``, or ``[]`` if it is acyclic.
 
-
-def find_cycle(graph: nx.DiGraph) -> List[Hashable]:
-    """Return one cycle as a list of nodes, or an empty list if the graph is acyclic."""
-    try:
-        edges = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return []
-    return [edge[0] for edge in edges]
+    Every ``n(i) -> n(i+1)`` is an edge, and so is ``nk -> n0``.  The search is
+    an iterative depth-first search, so deep graphs cannot overflow the
+    recursion limit.
+    """
+    finished = set()
+    for root in graph:
+        if root in finished:
+            continue
+        # The current DFS path, and for each node on it the iterator over
+        # its remaining successors.
+        path = [root]
+        on_path = {root: 0}
+        pending = [iter(graph.get(root, ()))]
+        while pending:
+            for successor in pending[-1]:
+                if successor in on_path:
+                    return path[on_path[successor]:]
+                if successor not in finished:
+                    on_path[successor] = len(path)
+                    path.append(successor)
+                    pending.append(iter(graph.get(successor, ())))
+                    break
+            else:
+                node = path.pop()
+                del on_path[node]
+                finished.add(node)
+                pending.pop()
+    return []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import VerilogSyntaxError
 
@@ -42,10 +42,43 @@ _OPERATORS = [
 
 _PUNCT = ["(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "@", "#"]
 
-_NUMBER_RE = re.compile(r"[0-9][0-9_]*")
-_BASED_RE = re.compile(r"(?:[0-9][0-9_]*)?\s*'\s*[sS]?[bBoOdDhH][0-9a-fA-FxXzZ_?]+")
-_IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z_0-9$]*")
-_ESCAPED_IDENT_RE = re.compile(r"\\[^\s]+")
+# The token table, tried in order at every position (the state-table idiom of
+# pygments' ``VerilogLexer``).  Trivia comes first: whitespace, ``//`` and
+# ``/* */`` comments, and compiler directives (a backtick up to the end of
+# the line; the benchmark sources do not rely on macros).  ``OPEN_COMMENT``,
+# ``OPEN_STRING`` and ``MISMATCH`` only match text that is a syntax error.
+_TOKEN_TABLE = (
+    ("TRIVIA", r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*"),
+    ("OPEN_COMMENT", r"/\*"),
+    ("BASED_NUMBER", r"(?:[0-9][0-9_]*)?\s*'\s*[sS]?[bBoOdDhH][0-9a-fA-FxXzZ_?]+"),
+    ("NUMBER", r"[0-9][0-9_]*"),
+    ("ESCAPED_IDENT", r"\\[^\s]+"),
+    ("IDENT", r"[a-zA-Z_][a-zA-Z_0-9$]*"),
+    ("STRING", r'"[^"]*"'),
+    ("OPEN_STRING", r'"'),
+    ("OPERATOR", "|".join(re.escape(operator) for operator in _OPERATORS)),
+    ("PUNCT", "[" + re.escape("".join(_PUNCT)) + "]"),
+    ("MISMATCH", r"."),
+)
+_TOKEN_RE = re.compile(
+    "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_TABLE), re.DOTALL
+)
+_ERRORS = {
+    "OPEN_COMMENT": "unterminated block comment",
+    "OPEN_STRING": "unterminated string literal",
+}
+# Token kind of every group that yields a token (IDENT may be a keyword).
+_GROUP_KINDS = {
+    "BASED_NUMBER": TokenKind.BASED_NUMBER,
+    "NUMBER": TokenKind.NUMBER,
+    "ESCAPED_IDENT": TokenKind.IDENT,
+    "IDENT": TokenKind.IDENT,
+    "STRING": TokenKind.STRING,
+    "OPERATOR": TokenKind.OPERATOR,
+    "PUNCT": TokenKind.PUNCT,
+}
+# Groups whose text may span lines.
+_MULTILINE = frozenset({"TRIVIA", "BASED_NUMBER", "STRING"})
 
 
 @dataclass(frozen=True)
@@ -67,107 +100,72 @@ class Token:
         return self.kind == TokenKind.OPERATOR and self.text == text
 
 
+def _syntax_error(match: "re.Match[str]", line: int, line_start: int) -> VerilogSyntaxError:
+    message = _ERRORS.get(match.lastgroup, f"unexpected character {match.group()!r}")
+    return VerilogSyntaxError(message, line, match.start() - line_start + 1)
+
+
 class Lexer:
     """Converts Verilog source text into a list of :class:`Token`.
 
     Comments (``//`` and ``/* */``), compiler directives starting with a
-    backtick and whitespace are discarded.
+    backtick and whitespace are discarded.  ``line`` and ``column`` give the
+    position of the text's first character, so a slice of a larger file
+    reports positions relative to that file.
     """
 
-    def __init__(self, source: str) -> None:
+    def __init__(self, source: str, line: int = 1, column: int = 1) -> None:
         self._source = source
-        self._length = len(source)
-        self._pos = 0
-        self._line = 1
-        self._column = 1
+        self._line = line
+        self._column = column
 
     def tokenize(self) -> List[Token]:
-        tokens = list(self._iter_tokens())
-        tokens.append(Token(TokenKind.EOF, "", self._line, self._column))
+        tokens: List[Token] = []
+        line = self._line
+        # Offset of the current line's first character; the first line may
+        # start before the text does.
+        line_start = 1 - self._column
+        for match in _TOKEN_RE.finditer(self._source):
+            group = match.lastgroup
+            text = match.group()
+            if group != "TRIVIA":
+                kind = _GROUP_KINDS.get(group)
+                if kind is None:
+                    raise _syntax_error(match, line, line_start)
+                value = text
+                if group == "IDENT" and text in KEYWORDS:
+                    kind = TokenKind.KEYWORD
+                elif group == "STRING":
+                    value = text[1:-1]
+                elif group == "ESCAPED_IDENT":
+                    value = text[1:]
+                tokens.append(Token(kind, value, line, match.start() - line_start + 1))
+            if group in _MULTILINE and "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
+        tokens.append(Token(TokenKind.EOF, "", line, len(self._source) - line_start + 1))
         return tokens
 
-    def _iter_tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self._pos >= self._length:
-                return
-            token = self._next_token()
-            if token is not None:
-                yield token
 
-    def _skip_trivia(self) -> None:
-        while self._pos < self._length:
-            char = self._source[self._pos]
-            if char in " \t\r":
-                self._advance(1)
-            elif char == "\n":
-                self._advance(1)
-            elif self._source.startswith("//", self._pos):
-                end = self._source.find("\n", self._pos)
-                self._advance((end - self._pos) if end != -1 else (self._length - self._pos))
-            elif self._source.startswith("/*", self._pos):
-                end = self._source.find("*/", self._pos + 2)
-                if end == -1:
-                    raise VerilogSyntaxError("unterminated block comment", self._line, self._column)
-                self._advance(end + 2 - self._pos)
-            elif char == "`":
-                # Compiler directives (`timescale, `define, ...) are skipped to
-                # the end of the line; benchmark sources do not rely on macros.
-                end = self._source.find("\n", self._pos)
-                self._advance((end - self._pos) if end != -1 else (self._length - self._pos))
-            else:
-                return
+def endmodule_offsets(source: str) -> List[int]:
+    """Offsets just past every ``endmodule`` keyword token of ``source``.
 
-    def _next_token(self) -> Optional[Token]:
-        line, column = self._line, self._column
-        match = _BASED_RE.match(self._source, self._pos)
-        if match:
-            text = match.group(0)
-            self._advance(len(text))
-            return Token(TokenKind.BASED_NUMBER, text, line, column)
-        match = _NUMBER_RE.match(self._source, self._pos)
-        if match:
-            text = match.group(0)
-            self._advance(len(text))
-            return Token(TokenKind.NUMBER, text, line, column)
-        match = _ESCAPED_IDENT_RE.match(self._source, self._pos)
-        if match:
-            text = match.group(0)
-            self._advance(len(text))
-            return Token(TokenKind.IDENT, text[1:], line, column)
-        match = _IDENT_RE.match(self._source, self._pos)
-        if match:
-            text = match.group(0)
-            self._advance(len(text))
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            return Token(kind, text, line, column)
-        if self._source[self._pos] == '"':
-            end = self._source.find('"', self._pos + 1)
-            if end == -1:
-                raise VerilogSyntaxError("unterminated string literal", line, column)
-            text = self._source[self._pos + 1 : end]
-            self._advance(end + 1 - self._pos)
-            return Token(TokenKind.STRING, text, line, column)
-        for operator in _OPERATORS:
-            if self._source.startswith(operator, self._pos):
-                self._advance(len(operator))
-                return Token(TokenKind.OPERATOR, operator, line, column)
-        char = self._source[self._pos]
-        if char in _PUNCT:
-            self._advance(1)
-            return Token(TokenKind.PUNCT, char, line, column)
-        raise VerilogSyntaxError(f"unexpected character {char!r}", line, column)
-
-    def _advance(self, count: int) -> None:
-        for _ in range(count):
-            if self._pos >= self._length:
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
+    Scans with the lexer's own token table, so an ``endmodule`` inside a
+    comment, a string, a compiler directive or a longer identifier never
+    counts.  Raises the same :class:`VerilogSyntaxError` (message and
+    position) that :meth:`Lexer.tokenize` raises for the whole text.
+    """
+    offsets: List[int] = []
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        if group == "IDENT":
+            if match.group() == "endmodule":
+                offsets.append(match.end())
+        elif group not in _GROUP_KINDS and group != "TRIVIA":
+            start = match.start()
+            line_start = source.rfind("\n", 0, start) + 1
+            raise _syntax_error(match, source.count("\n", 0, start) + 1, line_start)
+    return offsets
 
 
 def parse_based_literal(text: str) -> tuple[Optional[int], int]:

@@ -2,16 +2,89 @@
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import UnsupportedFeatureError, VerilogSyntaxError
 from repro.verilog import ast
-from repro.verilog.lexer import Lexer, Token, TokenKind, parse_based_literal
+from repro.verilog.lexer import (
+    Lexer,
+    Token,
+    TokenKind,
+    endmodule_offsets,
+    parse_based_literal,
+)
+
+#: Distinct module texts whose parse :func:`parse_source` keeps.
+MODULE_MEMO_SIZE = 256
+
+
+class _ModuleMemo:
+    """Parsed modules by exact module text: LRU-bounded and thread-safe.
+
+    ``repro serve`` audits on worker threads of one process, so every access
+    holds the lock.  A miss is parsed outside it; two threads racing on the
+    same text both parse it, and the second store wins.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._capacity = capacity
+        self._entries: "OrderedDict[str, Tuple[ast.Module, ...]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, text: str) -> Optional[Tuple[ast.Module, ...]]:
+        with self._lock:
+            modules = self._entries.get(text)
+            if modules is not None:
+                self._entries.move_to_end(text)
+            return modules
+
+    def put(self, text: str, modules: Tuple[ast.Module, ...]) -> None:
+        with self._lock:
+            self._entries[text] = modules
+            self._entries.move_to_end(text)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+_MODULE_MEMO = _ModuleMemo(MODULE_MEMO_SIZE)
 
 
 def parse_source(source: str) -> ast.SourceFile:
-    """Parse Verilog source text into a :class:`repro.verilog.ast.SourceFile`."""
-    return Parser(Lexer(source).tokenize()).parse()
+    """Parse Verilog source text into a :class:`repro.verilog.ast.SourceFile`.
+
+    The text is cut just after every ``endmodule`` keyword, and each piece
+    is lexed and parsed only the first time its exact text is seen by this
+    process (:data:`MODULE_MEMO_SIZE` pieces are kept).  The Table-I
+    benchmarks repeat the same cores in almost every design, so most pieces
+    are memo hits.  Syntax errors still carry file-relative lines and
+    columns, and a lexical error anywhere in the file is reported before
+    any parse error, as when the whole text is tokenized first.
+
+    The returned :class:`ast.Module` objects are therefore shared between
+    calls and must be treated as read-only; nothing in the package mutates
+    a parsed module.
+    """
+    result = ast.SourceFile()
+    start = 0
+    for end in endmodule_offsets(source) + [len(source)]:
+        if end == start:
+            continue
+        text = source[start:end]
+        modules = _MODULE_MEMO.get(text)
+        if modules is None:
+            line = source.count("\n", 0, start) + 1
+            column = start - source.rfind("\n", 0, start)
+            tokens = Lexer(text, line, column).tokenize()
+            modules = tuple(Parser(tokens).parse().modules)
+            _MODULE_MEMO.put(text, modules)
+        result.modules.extend(modules)
+        start = end
+    return result
 
 
 # Binary operator precedence, higher binds tighter.  The conditional operator

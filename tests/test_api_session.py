@@ -5,7 +5,9 @@ DetectionSession.iter_results(), the subscriber bus, batch sessions, and the
 deprecation shim of detect_trojans().
 """
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.api import (
 )
 from repro.core.events import CexWaived, class_label
 from repro.errors import ConfigError, DesignError, ReproError
+from repro.rtl.netlist import DependencyGraph
 
 PIPELINE_SOURCE = """
 module pipe(
@@ -361,6 +364,41 @@ class TestBatchSession:
         summary = batch.run().summary()
         assert "2 design(s)" in summary
         assert "secure" in summary and "trojan-suspected" in summary
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_netlist_build_per_design(self, monkeypatch, jobs):
+        builds = []
+        original = DependencyGraph.__init__
+
+        def counting_init(self, module):
+            builds.append(module.name)
+            original(self, module)
+
+        monkeypatch.setattr(DependencyGraph, "__init__", counting_init)
+        names = ["RS232-HT-FREE", "RS232-T2400", "BasicRSA-T200"]
+        report = BatchSession(names, config=DetectionConfig(jobs=jobs)).run()
+        assert report.designs_audited == 3
+        # Counted in this process only: pool workers build their own graph
+        # (lazily, for counterexample diagnosis) in their own copy.
+        assert len(builds) == 3
+
+
+class TestEngineLifetime:
+    def test_engine_freed_without_cyclic_collection(self):
+        # Dropping a finished session must free its engine by reference
+        # counting alone: a reference cycle would keep every audited
+        # design's AIG alive until a full collection.
+        gc.collect()
+        gc.disable()
+        try:
+            session = DetectionSession(Design.from_source(PIPELINE_SOURCE, top="pipe"))
+            session.run()
+            assert session.flow._lazy_engine is not None  # the run used it
+            engine = weakref.ref(session.flow.engine)
+            del session
+            assert engine() is None
+        finally:
+            gc.enable()
 
 
 class TestEventBase:

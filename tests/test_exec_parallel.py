@@ -8,6 +8,9 @@ sharded over solver contexts) may differ, and those are exactly the fields
 ``normalized_report_dict`` strips.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,6 +160,23 @@ class TestExecutors:
         assert [outcome.task_id for outcome in outcomes] == [0, 1]
         assert [result.index for result in outcomes[1].results] == [1, 2]
         assert all(result.outcome.holds for o in outcomes for result in o.results)
+
+    def test_serial_executor_is_freed_without_cyclic_collection(self):
+        # Its context factory must not reference it: the executor holds its
+        # seeds (and through them a flow and its engine) for as long as it
+        # lives.
+        unit = _unit()
+        gc.collect()
+        gc.disable()
+        try:
+            executor = SerialExecutor({unit.key: unit})
+            list(executor.run([ChunkTask(0, unit.key, (0,), stop_on_failure=True)]))
+            executor.close()
+            alive = weakref.ref(executor)
+            del executor
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_reported_workers_never_exceed_shard_count(self):
         # A 3-class design yields few shards; asking for 16 workers must not

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.rtl import DependencyGraph, compute_fanout_classes, elaborate_source, get_fanout
+from repro.errors import ElaborationError
+from repro.rtl import DependencyGraph, compute_fanout_classes, elaborate_source, exprs, get_fanout
 
 
 class TestDependencyGraph:
@@ -37,10 +38,54 @@ class TestDependencyGraph:
 
     def test_cycle_graph_nodes(self, pipeline_module):
         graph = DependencyGraph(pipeline_module).cycle_graph()
-        assert set(graph.nodes) == {"din", "s1", "s2", "dout"}
+        assert set(graph) == {"din", "s1", "s2", "dout"}
+        assert graph["din"] == {"s1"}
+        assert graph["s1"] == {"s2"}
 
     def test_get_fanout_wrapper_accepts_module(self, pipeline_module):
         assert get_fanout(pipeline_module, ["din"]) == {"s1"}
+
+
+class TestCombinationalLoops:
+    """The loop check of DependencyGraph names a real cycle of driver edges."""
+
+    @pytest.mark.parametrize(
+        "body, members",
+        [
+            (
+                "wire a; wire b; assign a = ~b; assign b = ~a; assign y = a;",
+                {"a", "b"},
+            ),
+            (
+                "wire [3:0] w; assign w = {w[2:0], x}; assign y = w[3];",
+                {"w"},
+            ),
+            (
+                "wire [3:0] p; wire [3:0] q; assign p = {q[1:0], x, x};"
+                " assign q = {x, p[3:1]}; assign y = q[0];",
+                {"p", "q"},
+            ),
+        ],
+        ids=["two-wires", "slice", "concat"],
+    )
+    def test_loop_is_reported_along_driver_edges(self, body, members):
+        module = elaborate_source(f"module m(input x, output y); {body} endmodule", "m")
+        with pytest.raises(ElaborationError, match="combinational loop detected") as error:
+            DependencyGraph(module)
+        names = str(error.value).split("through signals: ", 1)[1].split(" -> ")
+        assert set(names) == members
+        # Each reported signal feeds the next, and the last feeds the first.
+        for position, name in enumerate(names):
+            successor = names[(position + 1) % len(names)]
+            assert name in exprs.support(module.comb[successor])
+
+    def test_acyclic_chain_is_accepted(self):
+        module = elaborate_source(
+            "module m(input x, output y); wire a; wire b;"
+            " assign a = ~x; assign b = a; assign y = b; endmodule",
+            "m",
+        )
+        assert DependencyGraph(module).leaf_support("y") == {"x"}
 
 
 class TestFanoutClasses:

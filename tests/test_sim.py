@@ -122,6 +122,15 @@ class TestCombinationalOrdering:
         )
         assert Simulator(module).step({"a": 0})["y"] == 4
 
+    def test_combinational_loop_rejected_at_setup(self):
+        module = elaborate_source(
+            "module m(input x, output y); wire a; wire b;"
+            " assign a = b ^ x; assign b = ~a; assign y = a; endmodule",
+            "m",
+        )
+        with pytest.raises(SimulationError, match="combinational loop"):
+            Simulator(module)
+
     def test_lut_in_simulation(self):
         module = elaborate_source(
             "module m(input [1:0] s, output reg [7:0] q);"

@@ -2,10 +2,9 @@
 
 import time
 
-import networkx as nx
 import pytest
 
-from repro.utils.graphs import bfs_distances, find_cycle, reachable_from, topological_order
+from repro.utils.graphs import bfs_distances, find_cycle
 from repro.utils.timing import PeakMemoryTracker, Stopwatch
 
 
@@ -52,15 +51,7 @@ class TestPeakMemoryTracker:
 
 class TestGraphHelpers:
     def _chain(self):
-        graph = nx.DiGraph()
-        graph.add_edges_from([("a", "b"), ("b", "c"), ("c", "d"), ("x", "c")])
-        return graph
-
-    def test_reachable_from_single_source(self):
-        assert reachable_from(self._chain(), ["a"]) == {"a", "b", "c", "d"}
-
-    def test_reachable_from_ignores_unknown_sources(self):
-        assert reachable_from(self._chain(), ["nope"]) == set()
+        return {"a": ["b"], "b": ["c"], "c": ["d"], "x": ["c"]}
 
     def test_bfs_distances(self):
         distances = bfs_distances(self._chain(), ["a"])
@@ -71,16 +62,30 @@ class TestGraphHelpers:
         assert distances["c"] == 1
         assert distances["d"] == 2
 
-    def test_topological_order_respects_edges(self):
-        order = topological_order(self._chain())
-        assert order.index("a") < order.index("b") < order.index("c") < order.index("d")
+    def test_bfs_distances_ignores_unknown_sources(self):
+        assert bfs_distances(self._chain(), ["nope"]) == {}
 
     def test_find_cycle_on_dag_is_empty(self):
         assert find_cycle(self._chain()) == []
 
     def test_find_cycle_detects_loop(self):
         graph = self._chain()
-        graph.add_edge("d", "a")
+        graph["d"] = ["a"]
         cycle = find_cycle(graph)
-        assert set(cycle) <= {"a", "b", "c", "d"}
-        assert cycle
+        assert set(cycle) == {"a", "b", "c", "d"}
+        for position, node in enumerate(cycle):
+            assert cycle[(position + 1) % len(cycle)] in graph[node]
+
+    def test_find_cycle_self_loop(self):
+        assert find_cycle({"w": ["w"]}) == ["w"]
+
+    def test_find_cycle_skips_acyclic_prefix(self):
+        graph = {"a": ["b"], "b": ["c"], "c": ["b"]}
+        assert sorted(find_cycle(graph)) == ["b", "c"]
+
+    def test_find_cycle_deep_chain_is_iterative(self):
+        depth = 20000
+        graph = {index: [index + 1] for index in range(depth)}
+        assert find_cycle(graph) == []
+        graph[depth] = [0]
+        assert len(find_cycle(graph)) == depth + 1
