@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List
 
 from repro.aig.aig import AIG, FALSE, TRUE
 
@@ -81,36 +81,6 @@ class CnfBuilder:
             self._cnf.add_clause([-variable, left_literal])
             self._cnf.add_clause([-variable, right_literal])
             self._cnf.add_clause([variable, -left_literal, -right_literal])
-
-    def eliminable_vars(self) -> List[int]:
-        """CNF variables safe for bounded variable elimination.
-
-        Only variables of encoded AND nodes qualify: they are defined by their
-        Tseitin clauses (elimination amounts to inlining the definition),
-        whereas input variables carry witness values and the constant-true
-        variable anchors every encoding.
-        """
-        return sorted(
-            variable
-            for node, variable in self._node_to_var.items()
-            if not self._aig.is_input(node)
-        )
-
-    def invalidate_vars(self, variables: Iterable[int]) -> int:
-        """Drop node→variable cache entries for ``variables``.
-
-        Called after the solver eliminated variables by inprocessing: the
-        mapping must not be reused, so the next encoding touching one of
-        those nodes re-encodes it with a fresh variable (and fresh Tseitin
-        clauses, fed to the solver on the next flush).
-        """
-        doomed: Set[int] = set(variables)
-        if not doomed:
-            return 0
-        stale = [node for node, variable in self._node_to_var.items() if variable in doomed]
-        for node in stale:
-            del self._node_to_var[node]
-        return len(stale)
 
     def _child_literal(self, aig_literal: int) -> int:
         node = aig_literal >> 1

@@ -65,20 +65,18 @@ class Preprocessor:
         context: SolverContext,
         sim_patterns: int = DEFAULT_PATTERNS,
         fraig_rounds: int = 1,
-        sim_backend: str = "auto",
     ) -> None:
         self._aig = aig
         self._context = context
         self._sim_patterns = sim_patterns
         self._fraig_rounds = fraig_rounds
-        self._sim_backend = sim_backend
         self._patterns: Optional[PatternSet] = None
         self._fraig: Optional[FraigContext] = None
 
     @property
     def patterns(self) -> PatternSet:
         if self._patterns is None:
-            self._patterns = PatternSet(self._sim_patterns, sim_backend=self._sim_backend)
+            self._patterns = PatternSet(self._sim_patterns)
         return self._patterns
 
     @property
@@ -106,9 +104,7 @@ class Preprocessor:
             if index is not None:
                 with _span("sim", stage="minimize"):
                     assignment = patterns.extract(aig, roots, index, cone=cone)
-                    outcome.sim_model = minimize_assignment(
-                        aig, roots, assignment, cone=cone, sim_backend=self._sim_backend
-                    )
+                    outcome.sim_model = minimize_assignment(aig, roots, assignment, cone=cone)
                 outcome.nodes_after = outcome.nodes_before
             elif self._fraig_rounds > 0:
                 with _span("fraig", cone_nodes=len(cone)):

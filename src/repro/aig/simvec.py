@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional
 
-from repro.aig import simd
 from repro.aig.aig import AIG
 
 #: Default number of random patterns per batch.  One 64-bit word per input
@@ -36,55 +35,6 @@ DEFAULT_PATTERNS = 64
 
 #: Default seed of the deterministic per-node pattern words.
 DEFAULT_SEED = 0xF1A6
-
-#: Recognised simulation-kernel names (``--sim-backend``).
-SIM_BACKENDS = ("auto", "python", "numpy")
-
-
-def resolve_sim_backend(name: str, num_patterns: int) -> str:
-    """Concrete kernel ("python" or "numpy") for one evaluation.
-
-    ``"auto"`` picks numpy only when it is installed *and* the batch is wide
-    enough to amortize the numpy fixed costs; ``"numpy"`` degrades to the
-    Python kernel when numpy is missing (the two kernels are bit-identical,
-    so the fallback is safe everywhere).
-    """
-    if not simd.numpy_available():
-        return "python"
-    if name == "numpy":
-        return "numpy"
-    if name == "auto" and num_patterns >= simd.NUMPY_MIN_PATTERNS:
-        return "numpy"
-    return "python"
-
-
-def _word_values(
-    aig: AIG,
-    roots: List[int],
-    input_words: Dict[int, int],
-    mask: int,
-    cone: Optional[List[int]],
-    sim_backend: str,
-) -> Dict[int, int]:
-    """Positive-literal word of every cone node, via the chosen kernel."""
-    if resolve_sim_backend(sim_backend, mask.bit_length()) == "numpy":
-        return simd.evaluate_word_values_numpy(aig, roots, input_words, mask, cone=cone)
-    return aig.evaluate_word_values(roots, input_words, mask, cone=cone)
-
-
-def _root_words(
-    aig: AIG,
-    roots: List[int],
-    input_words: Dict[int, int],
-    mask: int,
-    cone: Optional[List[int]],
-    sim_backend: str,
-) -> List[int]:
-    """Word of every root literal (complements applied), via the chosen kernel."""
-    if resolve_sim_backend(sim_backend, mask.bit_length()) == "numpy":
-        return simd.evaluate_words_numpy(aig, roots, input_words, mask, cone=cone)
-    return aig.evaluate_words(roots, input_words, mask, cone=cone)
-
 
 def _node_word_seed(seed: int, node: int) -> int:
     """Deterministic 64-bit mix of (seed, node) — stable across processes."""
@@ -107,16 +57,12 @@ class PatternSet:
         num_patterns: int = DEFAULT_PATTERNS,
         seed: int = DEFAULT_SEED,
         max_refinements: int = 256,
-        sim_backend: str = "auto",
     ) -> None:
         if num_patterns < 1:
             raise ValueError(f"a pattern set needs >= 1 patterns, got {num_patterns}")
         self.base_patterns = num_patterns
         self.num_patterns = num_patterns
         self.seed = seed
-        #: Requested simulation kernel; resolved per evaluation by
-        #: :func:`resolve_sim_backend` (words are bit-identical either way).
-        self.sim_backend = sim_backend
         # Refinement columns are bounded: past ``max_refinements`` appended
         # patterns, the oldest refinement slot is recycled.  Without the cap
         # a long run's refuted fraig proofs would widen every word (and the
@@ -191,7 +137,7 @@ class PatternSet:
     ) -> List[int]:
         """Words of ``roots`` under the current batch (inputs auto-tracked)."""
         self.ensure_inputs(aig, roots, cone=cone)
-        return _root_words(aig, list(roots), self.words, self.mask, cone, self.sim_backend)
+        return aig.evaluate_words(roots, self.words, self.mask, cone=cone)
 
     def extract(
         self,
@@ -222,9 +168,7 @@ def node_signatures(
     skip the repeat traversals.
     """
     patterns.ensure_inputs(aig, roots, cone=cone)
-    return _word_values(
-        aig, roots, patterns.words, patterns.mask, cone, patterns.sim_backend
-    )
+    return aig.evaluate_word_values(roots, patterns.words, patterns.mask, cone=cone)
 
 
 def first_satisfying_index(words: List[int], mask: int) -> Optional[int]:
@@ -250,7 +194,6 @@ def minimize_assignment(
     assignment: Dict[int, int],
     max_rounds: int = 256,
     cone: Optional[List[int]] = None,
-    sim_backend: str = "auto",
 ) -> Dict[int, int]:
     """Greedily drive input bits of a satisfying assignment to 0.
 
@@ -284,7 +227,7 @@ def minimize_assignment(
         for j, node in enumerate(candidates):
             # Candidate j is 0 in patterns j..count-1 (all prefixes >= j+1).
             words[node] = (1 << j) - 1
-        goal_words = _root_words(aig, goals, words, mask, cone, sim_backend)
+        goal_words = aig.evaluate_words(goals, words, mask, cone=cone)
         combined = mask
         for word in goal_words:
             combined &= word

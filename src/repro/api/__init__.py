@@ -36,7 +36,6 @@ from repro.api.events import (
     ClassEvent,
     ClassProven,
     ClassSimFalsified,
-    ClassSplit,
     ConeSimplified,
     EventBus,
     PropertyScheduled,
@@ -73,7 +72,6 @@ __all__ = [
     "PropertyScheduled",
     "ConeSimplified",
     "ClassSimFalsified",
-    "ClassSplit",
     "SolverProgress",
     "StructurallyDischarged",
     "ClassProven",

@@ -13,7 +13,6 @@ from repro.core.events import (
     ClassEvent,
     ClassProven,
     ClassSimFalsified,
-    ClassSplit,
     ConeSimplified,
     EventBus,
     PropertyScheduled,
@@ -35,7 +34,6 @@ __all__ = [
     "PropertyScheduled",
     "ConeSimplified",
     "ClassSimFalsified",
-    "ClassSplit",
     "SolverProgress",
     "StructurallyDischarged",
     "ClassProven",

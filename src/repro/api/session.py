@@ -253,8 +253,8 @@ class BatchReport:
             "reports": [report.to_dict() for report in self.reports],
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BatchReport":
@@ -402,9 +402,13 @@ class BatchSession:
         designs over a worker pool when the config asks for ``jobs > 1``.
         """
         for design in self._designs:
-            session = DetectionSession(design, config=self.config_for(design))
-            session.subscribe(self._bus.emit)
-            yield design, session.run()
+            yield design, self._audit(design, self.config_for(design))
+
+    def _audit(self, design: Design, config: DetectionConfig) -> DetectionReport:
+        """Audit one design in-process, forwarding its events to the batch bus."""
+        session = DetectionSession(design, config=config)
+        session.subscribe(self._bus.emit)
+        return session.run()
 
     def _run_sharded(self, pairs, jobs: int) -> Tuple[List[DetectionReport], int]:
         """Audit all queued designs over one shared worker pool.
@@ -465,8 +469,8 @@ class BatchSession:
             reports, batch.workers = self._run_sharded(pairs, jobs)
             batch.reports.extend(reports)
         else:
-            for _, report in self.iter_reports():
-                batch.reports.append(report)
+            for design, config in pairs:
+                batch.reports.append(self._audit(design, config))
         batch.total_runtime_seconds = _time.perf_counter() - started
         self._report = batch
         return batch

@@ -15,9 +15,7 @@ A thin consumer of the session API (:mod:`repro.api`) with seven subcommands::
 ``run`` audits one design (``--json`` emits the schema-versioned report,
 ``--verbose`` streams per-property events as they settle;
 ``--no-simplify`` / ``--sim-patterns`` / ``--fraig-rounds`` control the
-simulation-guided miter preprocessing, which is on by default;
-``--no-inprocess`` disables between-check solver simplification and
-``--sim-backend`` selects the simulation kernel; ``--mode
+simulation-guided miter preprocessing, which is on by default; ``--mode
 sequential`` switches to bounded design-vs-golden equivalence with
 ``--depth``/``--reset-value``/``--golden-top`` and ``--vcd`` waveform
 export of the multi-cycle counterexample), ``batch`` audits
@@ -41,13 +39,15 @@ still accepted and mapped onto ``run`` / ``list-benchmarks`` with a
 deprecation notice on stderr.
 
 Exit codes: 0 — design(s) proven secure; 1 — a Trojan was suspected or
-signals stayed uncovered; 2 — usage, configuration, or I/O error.
+signals stayed uncovered; 2 — usage, configuration, or I/O error, or an
+internal error (a bug: the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from typing import List, Optional
 
 from repro.api import (
@@ -57,7 +57,6 @@ from repro.api import (
     CexWaived,
     ClassProven,
     ClassSimFalsified,
-    ClassSplit,
     ConeSimplified,
     Design,
     DetectionConfig,
@@ -210,48 +209,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         help=f"counterexample-guided refinement rounds of the fraig sweep "
              f"(default: {defaults.fraig_rounds}; 0 keeps sim-first "
              f"falsification but disables SAT sweeping)",
-    )
-    parser.add_argument(
-        "--no-inprocess",
-        action="store_true",
-        help="disable solver inprocessing between checks (clause "
-             "vivification and bounded elimination of dead per-check miter "
-             "variables); the persistent clause database is left untouched",
-    )
-    parser.add_argument(
-        "--no-split",
-        action="store_true",
-        help="disable cube-and-conquer splitting: every class check runs "
-             "monolithically with no conflict budget (verdicts are identical "
-             "either way)",
-    )
-    parser.add_argument(
-        "--split-conflicts",
-        type=int,
-        default=defaults.split_conflicts,
-        metavar="N",
-        help=f"conflict budget of a class's first monolithic SAT call; a "
-             f"check that exhausts it is split into cube tasks "
-             f"(default: {defaults.split_conflicts})",
-    )
-    parser.add_argument(
-        "--split-depth",
-        type=int,
-        default=defaults.split_depth,
-        metavar="D",
-        help=f"lookahead depth of the cube splitter: a budget-exhausted "
-             f"class fans out into 2^D cube tasks over its most influential "
-             f"free input bits (default: {defaults.split_depth})",
-    )
-    from repro.aig.simvec import SIM_BACKENDS
-
-    parser.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default=defaults.sim_backend,
-        help=f"bit-parallel simulation kernel (default: "
-             f"{defaults.sim_backend}; auto picks numpy for wide batches "
-             f"when installed — the kernels are bit-identical)",
     )
 
 
@@ -515,12 +472,7 @@ def _shared_config_kwargs(args: argparse.Namespace) -> dict:
         simplify=not args.no_simplify,
         sim_patterns=args.sim_patterns,
         fraig_rounds=args.fraig_rounds,
-        inprocess=not args.no_inprocess,
-        sim_backend=args.sim_backend,
         trace=bool(getattr(args, "trace", None)) or bool(getattr(args, "profile", False)),
-        split=not args.no_split,
-        split_conflicts=args.split_conflicts,
-        split_depth=args.split_depth,
         task_retries=args.task_retries,
         check_timeout_s=args.check_timeout,
     )
@@ -580,9 +532,6 @@ def _print_event(event: RunEvent, file=None) -> None:
     elif isinstance(event, ClassSimFalsified):
         print(f"  {event.label:24s} falsified by random simulation "
               f"(zero CDCL calls)", file=out)
-    elif isinstance(event, ClassSplit):
-        print(f"  {event.label:24s} split  ({event.cubes} cubes, "
-              f"{event.cubes_cached} from cache)", file=out)
     elif isinstance(event, CexFound):
         status = "spurious, auto-resolving" if event.auto_resolvable else "Trojan suspected"
         print(f"  {event.label:24s} FAILS  (counterexample: {status})", file=out)
@@ -595,14 +544,20 @@ def _print_event(event: RunEvent, file=None) -> None:
               f"decision level {event.decision_level}", file=out)
 
 
-def _emit_json(args: argparse.Namespace, document: str, summary: str) -> None:
+def _emit_report(args: argparse.Namespace, report) -> None:
+    """Print the report's summary or JSON; write the JSON to ``--output``.
+
+    The JSON document is built only when ``--json`` or ``--output`` asks for
+    it: a full batch report runs to hundreds of kilobytes.
+    """
+    document = report.to_json() if (args.json or args.output) else None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(document + "\n")
     if args.json:
         print(document)
     else:
-        print(summary)
+        print(report.summary())
 
 
 # ---------------------------------------------------------------------- #
@@ -655,7 +610,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         else:
             report = session.run()
 
-    _emit_json(args, report.to_json(), report.summary())
+    _emit_report(args, report)
     if args.vcd:
         _write_cex_vcd(args.vcd, report, design)
     _emit_trace(args, tracer)
@@ -759,7 +714,7 @@ def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     tracer = _make_tracer(args)
     with _install_tracer_if(tracer):
         report = batch.run()
-    _emit_json(args, report.to_json(), report.summary())
+    _emit_report(args, report)
     _emit_trace(args, tracer)
     return 0 if report.all_secure else 1
 
@@ -945,7 +900,7 @@ def _cmd_submit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         print(f"error: {error}", file=sys.stderr)
         return 2
     report = client.report(job["id"])
-    _emit_json(args, report.to_json(), report.summary())
+    _emit_report(args, report)
     return 0 if report.is_secure else 1
 
 
@@ -976,6 +931,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except Exception as error:  # noqa: BLE001 - a bug must not exit as a verdict
+        # Exit status 1 means "Trojan suspected": a crash must never be
+        # mistaken for a verdict, so it exits as an error with its traceback.
+        traceback.print_exc()
+        print(f"error: internal error: {type(error).__name__}", file=sys.stderr)
         return 2
 
 

@@ -163,20 +163,6 @@ class DetectionConfig:
         Counterexample-guided refinement rounds of the fraig sweep per
         preprocessed cone (>= 0; 0 disables SAT sweeping but keeps
         sim-first falsification).
-    inprocess:
-        When true (default), the persistent solver context is simplified
-        *between* checks (clause vivification + bounded elimination of dead
-        per-check miter variables at level 0, plus learned-clause
-        reduction inside the solver).  ``False`` (the CLI's
-        ``--no-inprocess``) leaves the clause database untouched between
-        checks.  Verdicts and counterexamples are identical either way.
-    sim_backend:
-        Simulation kernel of the random-pattern batches: ``"auto"``
-        (default) picks the numpy-vectorized kernel for wide batches when
-        numpy is installed, ``"python"`` forces the pure-Python kernel,
-        ``"numpy"`` forces the vectorized kernel (falling back to Python
-        when numpy is missing).  The kernels are bit-identical, so this is
-        purely an execution knob.
     trace:
         When true, the run records hierarchical spans (:mod:`repro.obs`):
         worker chunks collect per-phase timings and ship them back with
@@ -184,27 +170,6 @@ class DetectionConfig:
         A pure execution knob like ``jobs``: excluded from the config
         fingerprint, stripped by report normalization, zero behavior
         change when off.
-    split:
-        When true (default), a combinational check whose first SAT call
-        exceeds ``split_conflicts`` conflicts is aborted and cube-and-
-        conquered: the search space is partitioned into ``2^split_depth``
-        cube tasks over the most influential free input bits
-        (:mod:`repro.sat.cubes`), solved independently (and in parallel
-        under ``jobs > 1``), and reduced — any SAT cube yields the class
-        counterexample, all-UNSAT proves the class.  ``False`` (the CLI's
-        ``--no-split``) always solves monolithically.  Verdicts,
-        counterexamples and normalized reports are identical either way.
-        Semantic for caching purposes: split runs write per-cube cache
-        entries so an interrupted hard proof resumes from settled cubes.
-    split_conflicts:
-        Conflict budget of the monolithic attempt (>= 1; default 20000).
-        Only the *first* raw SAT call of a class is budgeted; cube solves
-        and spurious-counterexample re-checks always run to completion.
-        Ignored when ``split`` is false and by the sequential mode (whose
-        golden-model unrolling has no miter to split).
-    split_depth:
-        Number of branching bits of a split (>= 1, <= 10; default 2),
-        producing ``2^split_depth`` cube tasks per split class.
     task_retries:
         How many times a parallel task whose worker process *died* (crash,
         OOM kill, SIGKILL) is requeued onto a respawned worker before its
@@ -238,12 +203,7 @@ class DetectionConfig:
     simplify: bool = True
     sim_patterns: int = 64
     fraig_rounds: int = 1
-    inprocess: bool = True
-    sim_backend: str = "auto"
     trace: bool = False
-    split: bool = True
-    split_conflicts: int = 20000
-    split_depth: int = 2
     task_retries: int = 2
     check_timeout_s: Optional[float] = None
 
@@ -271,18 +231,8 @@ class DetectionConfig:
             raise ConfigError(f"simplify must be a bool, got {self.simplify!r}")
         _require_int(self.sim_patterns, "sim_patterns", 1)
         _require_int(self.fraig_rounds, "fraig_rounds", 0)
-        if not isinstance(self.inprocess, bool):
-            raise ConfigError(f"inprocess must be a bool, got {self.inprocess!r}")
         if not isinstance(self.trace, bool):
             raise ConfigError(f"trace must be a bool, got {self.trace!r}")
-        if not isinstance(self.split, bool):
-            raise ConfigError(f"split must be a bool, got {self.split!r}")
-        _require_int(self.split_conflicts, "split_conflicts", 1)
-        _require_int(self.split_depth, "split_depth", 1)
-        if self.split_depth > 10:
-            raise ConfigError(
-                f"split_depth must be <= 10 (2^depth cube tasks), got {self.split_depth!r}"
-            )
         _require_int(self.task_retries, "task_retries", 0)
         if self.check_timeout_s is not None:
             if isinstance(self.check_timeout_s, bool) or not isinstance(
@@ -296,13 +246,6 @@ class DetectionConfig:
                 raise ConfigError(
                     f"check_timeout_s must be > 0, got {self.check_timeout_s!r}"
                 )
-        from repro.aig.simvec import SIM_BACKENDS
-
-        if self.sim_backend not in SIM_BACKENDS:
-            raise ConfigError(
-                f"unknown sim backend {self.sim_backend!r}; "
-                f"available: {', '.join(SIM_BACKENDS)}"
-            )
         if self.reset_values is not None:
             if not isinstance(self.reset_values, dict):
                 raise ConfigError(
@@ -341,12 +284,7 @@ class DetectionConfig:
             "simplify": self.simplify,
             "sim_patterns": self.sim_patterns,
             "fraig_rounds": self.fraig_rounds,
-            "inprocess": self.inprocess,
-            "sim_backend": self.sim_backend,
             "trace": self.trace,
-            "split": self.split,
-            "split_conflicts": self.split_conflicts,
-            "split_depth": self.split_depth,
             "task_retries": self.task_retries,
             "check_timeout_s": self.check_timeout_s,
         }

@@ -127,8 +127,6 @@ class TrojanDetectionFlow:
                 simplify=self._config.simplify,
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
-                inprocess=self._config.inprocess,
-                sim_backend=self._config.sim_backend,
             )
         return self._lazy_engine
 

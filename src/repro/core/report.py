@@ -39,7 +39,9 @@ from repro.rtl.fanout import FanoutAnalysis
 #: ``cubes_cached`` (0 for classes settled monolithically).
 #: v8: added the per-outcome ``status`` ("ok" / "timeout" / "error"), the
 #: ``inconclusive`` verdict, and the fault-tolerance counters
-#: ``execution.workers_lost`` / ``execution.tasks_retried``.
+#: ``execution.workers_lost`` / ``execution.tasks_retried``.  Later v8
+#: writers no longer emit ``cubes`` / ``cubes_cached`` (cube splitting is
+#: gone); readers ignore them.
 SCHEMA_VERSION = 8
 
 #: Versions ``from_dict`` can still read.  Older versions are accepted
@@ -107,11 +109,6 @@ class PropertyOutcome:
     # which the design diverged from the golden model (None when it held).
     depth_reached: Optional[int] = None
     first_divergence_cycle: Optional[int] = None
-    # Cube-and-conquer bookkeeping (0 for classes settled monolithically):
-    # the number of cube tasks this class was split into, and how many of
-    # those verdicts were replayed from per-cube cache entries.
-    cubes: int = 0
-    cubes_cached: int = 0
     # How the class settled: "ok" (a real verdict), "timeout" (the check
     # exceeded ``check_timeout_s``; ``result`` carries partial telemetry),
     # or "error" (the task's worker died repeatedly and was quarantined).
@@ -274,9 +271,9 @@ class DetectionReport:
             "fanout_analysis": _fanout_to_dict(self.fanout_analysis),
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self) -> str:
         """The report as a JSON document (see :meth:`to_dict`)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DetectionReport":
@@ -440,8 +437,6 @@ def _outcome_to_dict(outcome: PropertyOutcome) -> Dict[str, Any]:
         "nodes_after": result.nodes_after,
         "merged_nodes": result.merged_nodes,
         "sweep_s": result.sweep_seconds,
-        "cubes": outcome.cubes,
-        "cubes_cached": outcome.cubes_cached,
         "status": outcome.status,
     }
 
@@ -476,8 +471,6 @@ def _outcome_from_dict(data: Dict[str, Any]) -> PropertyOutcome:
         resolved_spurious=data.get("resolved_spurious", 0),
         depth_reached=data.get("depth_reached"),
         first_divergence_cycle=data.get("first_divergence_cycle"),
-        cubes=data.get("cubes", 0),
-        cubes_cached=data.get("cubes_cached", 0),
         status=data.get("status", "ok"),
     )
 

@@ -153,8 +153,6 @@ class SequentialUnroller:
         simplify: bool = False,
         sim_patterns: int = DEFAULT_PATTERNS,
         fraig_rounds: int = 1,
-        inprocess: bool = True,
-        sim_backend: str = "auto",
     ) -> None:
         missing = [name for name in golden.inputs if name not in design.inputs]
         if missing:
@@ -180,14 +178,6 @@ class SequentialUnroller:
         self._sim_patterns = sim_patterns
         self._fraig_rounds = fraig_rounds
         self._preprocessor: Optional[Preprocessor] = None
-        # Inprocessing between checks (see IpcEngine): vivify + eliminate
-        # dead per-check miter variables on the persistent context after
-        # every SAT-settled check.
-        self._inprocess = inprocess
-        self._sim_backend = sim_backend
-        self._inprocess_runs = 0
-        self._inprocess_removed = 0
-        self._inprocess_eliminated = 0
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -227,9 +217,6 @@ class SequentialUnroller:
             "cnf_vars": context.num_vars,
             "cnf_clauses": context.num_clauses,
             "aig_nodes": self._aig.num_nodes,
-            "inprocess_runs": self._inprocess_runs,
-            "inprocess_removed_clauses": self._inprocess_removed,
-            "inprocess_eliminated_vars": self._inprocess_eliminated,
         }
 
     # ------------------------------------------------------------------ #
@@ -363,11 +350,6 @@ class SequentialUnroller:
             input_values = self._model_input_values(miter, outcome.result.model)
             self._locate_divergence(result, difference_by_cycle, input_values)
             result.cex = self._build_counterexample(result, input_values)
-        if self._inprocess:
-            stats = self._context.inprocess()
-            self._inprocess_runs += 1
-            self._inprocess_removed += int(stats.get("removed_clauses", 0))
-            self._inprocess_eliminated += len(stats.get("eliminated") or [])
         result.runtime_seconds = _time.perf_counter() - started
         return result
 
@@ -382,7 +364,6 @@ class SequentialUnroller:
                 self._context,
                 sim_patterns=self._sim_patterns,
                 fraig_rounds=self._fraig_rounds,
-                sim_backend=self._sim_backend,
             )
         return self._preprocessor
 

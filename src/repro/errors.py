@@ -48,8 +48,9 @@ class ConflictLimitExceeded(SolverError):
     """Raised when a budgeted SAT call exhausts its conflict limit.
 
     The persistent solver is left backtracked to level 0 and fully reusable;
-    the caller decides how to proceed (typically by splitting the check into
-    cube tasks, see :mod:`repro.sat.cubes`).
+    the caller decides how to proceed.  The fraig sweep budgets each
+    equivalence proof this way and leaves a candidate pair unmerged when its
+    proof runs out of conflicts (see :mod:`repro.aig.fraig`).
     """
 
 

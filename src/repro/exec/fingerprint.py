@@ -15,12 +15,9 @@ behaviour.
 Deliberately *excluded* from the config fingerprint are the knobs that do
 not change any individual property's outcome: ``stop_at_first_failure`` and
 ``max_class`` only select *which* classes run, and ``jobs`` / ``cache_dir``
-/ ``use_cache`` only select *how* they run.  ``sim_backend`` is excluded
-too: the numpy and Python simulation kernels are bit-identical by
-construction (see :mod:`repro.aig.simd`), so not a single bit of any record
-can depend on the kernel choice.  A truncated audit therefore warms the
-cache for a later full audit, a serial run warms it for a parallel one, and
-a numpy run warms it for a machine without numpy.
+/ ``use_cache`` only select *how* they run.  A truncated audit therefore
+warms the cache for a later full audit, and a serial run warms it for a
+parallel one.
 """
 
 from __future__ import annotations
@@ -49,8 +46,11 @@ from repro.rtl.ir import Module
 #: (the cube set of an aborted monolithic solve) and per-cube verdicts.
 #: v7: outcome records gained the ``status`` field and the ``timeout`` /
 #: ``error`` terminals (fault-tolerant execution) — older readers would
-#: reject the new terminals, so the layouts must not alias.
-CACHE_SCHEMA_VERSION = 7
+#: reject the new terminals, so the layouts must not alias.  v8: cube
+#: splitting and solver inprocessing are gone — the config fingerprint lost
+#: its ``split/`` and ``inprocess/`` tokens, the cache its split and cube
+#: record kinds, and outcome records their ``cubes`` / ``cubes_cached``.
+CACHE_SCHEMA_VERSION = 8
 
 
 class _Hasher:
@@ -163,7 +163,7 @@ def config_fingerprint(config: DetectionConfig, backend_name: str) -> str:
     waiver list changes, while a deeper bound misses and re-proves.
 
     Pure execution knobs — ``jobs``, ``cache_dir``, ``use_cache``,
-    ``sim_backend``, ``trace`` — are deliberately excluded: the allowlist
+    ``trace`` — are deliberately excluded: the allowlist
     below feeds only the named semantic fields, so a traced run replays
     (and populates) exactly the cache entries of an untraced one.
     """
@@ -180,11 +180,6 @@ def config_fingerprint(config: DetectionConfig, backend_name: str) -> str:
     hasher.feed(f"simplify/{config.simplify}")
     if config.simplify:
         hasher.feed(f"sim/{config.sim_patterns}/{config.fraig_rounds}")
-    # Like simplify, inprocessing never changes a verdict or a reported
-    # witness (the canonical settle pins it), but it does change the solver
-    # telemetry of every class settled after the first inprocessing pass —
-    # so records of inprocessed and untouched runs must never alias.
-    hasher.feed(f"inprocess/{config.inprocess}")
     # The wall-clock deadline decides whether a hard class settles at all
     # (timeout outcomes are never cached, but a deadline also changes the
     # partial telemetry of every class that races it), so runs with
@@ -203,16 +198,6 @@ def config_fingerprint(config: DetectionConfig, backend_name: str) -> str:
         hasher.feed("waivers")
         for signal in sorted(config.waived_signals()):
             hasher.feed(signal)
-        # Cube-and-conquer knobs (combinational only: the sequential mode
-        # never splits).  Splitting preserves verdicts, witnesses and
-        # normalized reports, but it changes which record types a run
-        # writes (split records, per-cube verdicts) and which budgeted
-        # telemetry a class record carries — and per-cube entries are only
-        # resumable when the budget and depth that produced them are
-        # pinned.  The budget/depth values are inert with split off.
-        hasher.feed(f"split/{config.split}")
-        if config.split:
-            hasher.feed(f"split-budget/{config.split_conflicts}/{config.split_depth}")
     return hasher.hexdigest()
 
 
@@ -238,36 +223,4 @@ def class_cache_key(module_fp: str, config_fp: str, index: int) -> str:
     hasher.feed(module_fp)
     hasher.feed(config_fp)
     hasher.feed(f"class/{index}")
-    return hasher.hexdigest()
-
-
-def split_cache_key(module_fp: str, config_fp: str, index: int) -> str:
-    """Cache key of a class's split record (its deterministic cube set).
-
-    Written when a class's monolithic attempt blows its conflict budget, so
-    an interrupted run can re-enter the reduce stage without repeating the
-    budgeted attempt or the cube-selection lookahead.
-    """
-    hasher = _Hasher()
-    hasher.feed(f"repro-result-cache/v{CACHE_SCHEMA_VERSION}")
-    hasher.feed(module_fp)
-    hasher.feed(config_fp)
-    hasher.feed(f"split/{index}")
-    return hasher.hexdigest()
-
-
-def cube_cache_key(module_fp: str, config_fp: str, index: int, cube) -> str:
-    """Cache key of one cube verdict: the class key extended by the cube.
-
-    ``cube`` is the portable literal tuple
-    ``((instance, time, signal, bit, value), ...)``; each literal is fed as
-    its own token so cube boundaries are part of the digest.
-    """
-    hasher = _Hasher()
-    hasher.feed(f"repro-result-cache/v{CACHE_SCHEMA_VERSION}")
-    hasher.feed(module_fp)
-    hasher.feed(config_fp)
-    hasher.feed(f"class/{index}/cube")
-    for instance, time, signal, bit, value in cube:
-        hasher.feed(f"{instance}/{time}/{signal}/{bit}/{value}")
     return hasher.hexdigest()

@@ -30,34 +30,21 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.config import DetectionConfig
 from repro.core.coverage import check_signal_coverage
 from repro.core.events import RunEvent, RunFinished, RunStarted
-from repro.core.report import (
-    DetectionReport,
-    PropertyOutcome,
-    Verdict,
-    outcome_from_dict,
-)
+from repro.core.report import DetectionReport, PropertyOutcome, Verdict
 from repro.core.unroll import sequential_output_classes
 from repro.errors import ConfigError, ReproError
 from repro.exec.cache import ResultCache
-from repro.exec.executor import ChunkOutcome, ChunkTask, CubeTask, Executor
+from repro.exec.executor import ChunkOutcome, ChunkTask, Executor
 from repro.exec.fingerprint import (
     class_cache_key,
     config_fingerprint,
-    cube_cache_key,
     module_fingerprint,
     pair_module_fingerprint,
-    split_cache_key,
 )
 from repro.exec.records import (
     ClassResult,
-    CubeVerdict,
-    SplitResult,
     class_result_from_record,
     class_result_to_record,
-    cube_verdict_from_record,
-    cube_verdict_to_record,
-    split_result_from_record,
-    split_result_to_record,
 )
 from repro.exec.worker import WorkUnit, resolved_backend_name
 from repro.ipc.engine import PropertyCheckResult
@@ -106,12 +93,7 @@ def shard_indices(
 
 
 def quarantined_class_result(
-    name: str,
-    config: DetectionConfig,
-    index: int,
-    kind: Optional[str] = None,
-    property_name: Optional[str] = None,
-    commitments: int = 0,
+    name: str, config: DetectionConfig, index: int
 ) -> ClassResult:
     """Synthesize the inconclusive result of a quarantined class.
 
@@ -123,13 +105,11 @@ def quarantined_class_result(
     property name is a placeholder — the worker that would have built the
     real property is exactly the thing that kept dying.
     """
-    if kind is None:
-        if config.mode == "sequential":
-            kind = "sequential"
-        else:
-            kind = "init" if index == 0 else "fanout"
-    if property_name is None:
-        property_name = f"quarantined_class_{index}"
+    if config.mode == "sequential":
+        kind = "sequential"
+    else:
+        kind = "init" if index == 0 else "fanout"
+    property_name = f"quarantined_class_{index}"
     result = PropertyCheckResult(
         prop=IntervalProperty(
             name=property_name,
@@ -146,7 +126,7 @@ def quarantined_class_result(
         index=index,
         kind=kind,
         property_name=property_name,
-        commitments=commitments,
+        commitments=0,
         terminal="error",
         outcome=outcome,
         retries=config.task_retries,
@@ -177,14 +157,8 @@ class DesignPlan:
     cache: Optional[ResultCache] = None
     cache_keys: Dict[int, str] = field(default_factory=dict)
     replays: Dict[int, ClassResult] = field(default_factory=dict)
-    #: Classes with a cached *split* record but no final class record: an
-    #: interrupted hard proof.  They skip the budgeted monolithic attempt and
-    #: go straight to cube reduction, resuming from settled cube verdicts.
-    presplit: Dict[int, SplitResult] = field(default_factory=dict)
     miss_indices: List[int] = field(default_factory=list)
     tasks: List[ChunkTask] = field(default_factory=list)
-    module_fp: str = ""
-    config_fp: str = ""
 
     @classmethod
     def build(
@@ -243,8 +217,6 @@ class DesignPlan:
         if self.golden is not None:
             module_fp = pair_module_fingerprint(module_fp, module_fingerprint(self.golden))
         config_fp = config_fingerprint(self.config, self.backend_name)
-        self.module_fp = module_fp
-        self.config_fp = config_fp
         for index in range(self.depth):
             self.cache_keys[index] = class_cache_key(module_fp, config_fp, index)
         misses: List[int] = []
@@ -254,42 +226,18 @@ class DesignPlan:
                 misses.append(index)
                 continue
             try:
-                self.replays[index] = class_result_from_record(
-                    self.name, record, from_cache=True
-                )
+                replay = class_result_from_record(self.name, record, from_cache=True)
             except ReproError:
                 # A readable entry with an unusable payload: plain miss.
                 self.cache.corrupt_skipped += 1
                 misses.append(index)
-        # A miss may still carry a cached *split* record from an interrupted
-        # proof: the class resumes at cube reduction instead of re-running
-        # (and possibly re-budgeting) the monolithic attempt.  Split records
-        # only exist when the run's semantic config enabled splitting, and
-        # the split knobs are part of the config fingerprint, so a
-        # ``--no-split`` rerun never sees them.
-        still_missing: List[int] = []
-        for index in misses:
-            record = self.cache.get(split_cache_key(module_fp, config_fp, index))
-            if record is None:
-                still_missing.append(index)
                 continue
-            try:
-                self.presplit[index] = split_result_from_record(self.name, record)
-            except ReproError:
-                self.cache.corrupt_skipped += 1
-                still_missing.append(index)
-        misses = still_missing
-        if self.config.stop_at_first_failure:
-            failing = [
-                index
-                for index, result in self.replays.items()
-                if not result.outcome.holds
-            ]
-            if failing:
+            self.replays[index] = replay
+            if self.config.stop_at_first_failure and not replay.outcome.holds:
                 # The audit will stop at the first cached failure; classes
-                # beyond it were never part of the cold run's report either.
-                first_failure = min(failing)
-                misses = [index for index in misses if index < first_failure]
+                # beyond it were never part of the cold run's report either,
+                # so they are neither read nor scheduled.
+                break
         self.miss_indices = misses
 
     # ------------------------------------------------------------------ #
@@ -461,18 +409,7 @@ def run_plans(plans: Sequence[DesignPlan], executor: Executor) -> Iterator[RunEv
     classes while design N's stragglers finish.  The event stream and the
     reports depend only on (plans, worker results) — never on completion
     order.
-
-    This is also where cube-and-conquer reduction happens: a worker that
-    returns a :class:`SplitResult` instead of a final verdict has its class
-    fanned out into :class:`CubeTask` s (submitted *urgent*, so idle workers
-    steal cubes before remaining shards), and the cube verdicts merge back
-    deterministically — any SAT cube sends the class to a canonical
-    re-settle that produces the witness, all-UNSAT proves it from the
-    split's pre-built outcome template.  Per-cube verdicts are cached
-    individually, so an interrupted hard proof resumes from its settled
-    cubes.
     """
-    next_task_id = 0
     all_tasks: List[ChunkTask] = []
     # Shard budget per design: a lone design gets ~4 shards per worker; in a
     # batch the designs themselves provide stealing granularity, so each
@@ -480,134 +417,11 @@ def run_plans(plans: Sequence[DesignPlan], executor: Executor) -> Iterator[RunEv
     # design, which also minimizes duplicated per-design engine setup).
     shard_budget = max(1, -(-executor.workers * 4 // max(1, len(plans))))
     for plan in plans:
-        tasks = plan.make_tasks(executor.workers, next_task_id, shard_budget)
-        next_task_id += len(tasks)
-        all_tasks.extend(tasks)
+        all_tasks.extend(plan.make_tasks(executor.workers, len(all_tasks), shard_budget))
 
     if all_tasks:
         executor.submit(all_tasks)
     workers = executor.effective_workers(len(all_tasks))
-
-    def consume_stats(outcome: ChunkOutcome, chunk_stats: List[ChunkOutcome]) -> None:
-        if outcome.skipped:
-            return
-        chunk_stats.append(outcome)
-        # Worker-side spans merge into the ambient tracer (if any) so one
-        # traced run yields one timeline.
-        spans = outcome.stats.get("spans")
-        if spans:
-            _obs_trace.absorb(spans)
-
-    def reduce_split(
-        plan: DesignPlan, split: SplitResult, chunk_stats: List[ChunkOutcome]
-    ) -> ClassResult:
-        """Merge one split class's cube verdicts into a final ClassResult."""
-        nonlocal next_task_id
-        verdicts: List[CubeVerdict] = []
-        pending: List[Tuple[CubeTask, Optional[str]]] = []
-        for cube in split.cubes:
-            key: Optional[str] = None
-            if plan.cache is not None:
-                key = cube_cache_key(plan.module_fp, plan.config_fp, split.index, cube)
-                record = plan.cache.get(key)
-                if record is not None:
-                    try:
-                        verdicts.append(
-                            cube_verdict_from_record(plan.name, record, from_cache=True)
-                        )
-                        continue
-                    except ReproError:
-                        plan.cache.corrupt_skipped += 1
-            task = CubeTask(
-                task_id=next_task_id,
-                design_key=plan.key,
-                index=split.index,
-                cube=cube,
-            )
-            next_task_id += 1
-            pending.append((task, key))
-        if pending:
-            executor.submit([task for task, _ in pending], urgent=True)
-        for task, key in pending:
-            outcome = executor.wait(task.task_id)
-            if outcome.quarantined:
-                # Every worker that picked this cube up died: the class
-                # cannot be completed; degrade it whole to an inconclusive
-                # error result (other pending cube outcomes are abandoned).
-                return quarantined_class_result(
-                    plan.name,
-                    plan.config,
-                    split.index,
-                    kind=split.kind,
-                    property_name=split.property_name,
-                    commitments=split.commitments,
-                )
-            if outcome.skipped or not outcome.results:
-                raise ReproError(
-                    f"cube task for class {split.index} of {plan.name!r} "
-                    f"returned no verdict"
-                )
-            consume_stats(outcome, chunk_stats)
-            verdict = outcome.results[0]
-            verdicts.append(verdict)
-            if plan.cache is not None and key is not None:
-                plan.cache.put(key, cube_verdict_to_record(verdict))
-        cached_hits = sum(1 for verdict in verdicts if verdict.from_cache)
-        if any(verdict.sat for verdict in verdicts):
-            # Some cube holds a counterexample.  The witness the report
-            # carries must be the canonical one, so the class re-settles
-            # monolithically (unbudgeted) exactly like a failing class does
-            # in a no-split run.
-            task = ChunkTask(
-                task_id=next_task_id,
-                design_key=plan.key,
-                indices=(split.index,),
-                stop_on_failure=False,
-                allow_split=False,
-            )
-            next_task_id += 1
-            executor.submit([task], urgent=True)
-            outcome = executor.wait(task.task_id)
-            if outcome.quarantined:
-                return quarantined_class_result(
-                    plan.name,
-                    plan.config,
-                    split.index,
-                    kind=split.kind,
-                    property_name=split.property_name,
-                    commitments=split.commitments,
-                )
-            consume_stats(outcome, chunk_stats)
-            result = next(
-                (
-                    entry
-                    for entry in outcome.results
-                    if isinstance(entry, ClassResult) and entry.index == split.index
-                ),
-                None,
-            )
-            if result is None:
-                raise ReproError(
-                    f"re-settle of split class {split.index} of {plan.name!r} "
-                    f"returned no result"
-                )
-        else:
-            # The cubes partition the full assignment space over the chosen
-            # split bits, so all-UNSAT is a proof of the class.  The
-            # template's deterministic fields match what a monolithic UNSAT
-            # would have reported (they are fixed before preprocessing).
-            result = ClassResult(
-                design=plan.name,
-                index=split.index,
-                kind=split.kind,
-                property_name=split.property_name,
-                commitments=split.commitments,
-                terminal="proven",
-                outcome=outcome_from_dict(dict(split.outcome_template)),
-            )
-        result.outcome.cubes = len(split.cubes)
-        result.outcome.cubes_cached = cached_hits
-        return result
 
     for plan in plans:
         started = _time.perf_counter()
@@ -627,27 +441,24 @@ def run_plans(plans: Sequence[DesignPlan], executor: Executor) -> Iterator[RunEv
             result: Optional[ClassResult] = None
             if index in plan.replays:
                 result = plan.replays[index]
-            elif index in plan.presplit:
-                result = reduce_split(plan, plan.presplit[index], chunk_stats)
             elif index in index_to_task:
                 task = index_to_task[index]
                 if task.task_id not in outcomes_by_task:
                     outcome = executor.wait(task.task_id)
                     outcomes_by_task[task.task_id] = outcome
-                    consume_stats(outcome, chunk_stats)
+                    if not outcome.skipped:
+                        chunk_stats.append(outcome)
+                        # Worker-side spans merge into the ambient tracer (if
+                        # any) so one traced run yields one timeline.
+                        spans = outcome.stats.get("spans")
+                        if spans:
+                            _obs_trace.absorb(spans)
                 outcome = outcomes_by_task[task.task_id]
                 entry = next(
                     (entry for entry in outcome.results if entry.index == index), None
                 )
                 if entry is None and outcome.quarantined:
                     result = quarantined_class_result(plan.name, plan.config, index)
-                elif isinstance(entry, SplitResult):
-                    if plan.cache is not None:
-                        plan.cache.put(
-                            split_cache_key(plan.module_fp, plan.config_fp, index),
-                            split_result_to_record(entry),
-                        )
-                    result = reduce_split(plan, entry, chunk_stats)
                 else:
                     result = entry
             if result is None:

@@ -23,16 +23,16 @@ from __future__ import annotations
 import time as _time
 from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.simvec import DEFAULT_PATTERNS
 from repro.core.config import DetectionConfig
 from repro.core.falsealarm import diagnose_counterexample
 from repro.core.properties import build_fanout_property, build_init_property
-from repro.core.report import PropertyOutcome, outcome_to_dict
+from repro.core.report import PropertyOutcome
 from repro.core.unroll import SequentialUnroller, sequential_output_classes
-from repro.errors import CheckDeadlineExceeded, ConfigError, ConflictLimitExceeded
-from repro.exec.records import ClassResult, Cube, CubeVerdict, SplitResult, SpuriousRound
+from repro.errors import CheckDeadlineExceeded, ConfigError
+from repro.exec.records import ClassResult, SpuriousRound
 from repro.ipc.engine import IpcEngine, PropertyCheckResult
 from repro.obs import progress as _progress
 from repro.obs import trace as _trace
@@ -60,13 +60,6 @@ def resolved_backend_name(config: DetectionConfig) -> str:
 #: must report byte-identical counterexamples.
 CANONICAL_SIM_PATTERNS = DEFAULT_PATTERNS
 CANONICAL_FRAIG_ROUNDS = 1
-#: Inprocessing changes which satisfying assignment later checks of the
-#: *same context* find (vivified clauses propagate differently), so the
-#: canonical settle pins it like every other search-state knob.  The sim
-#: *kernel* (``sim_backend``) is deliberately not pinned: the numpy and
-#: Python kernels are bit-identical by construction, so witnesses cannot
-#: depend on it.
-CANONICAL_INPROCESS = True
 
 
 def canonical_witness_config(config: DetectionConfig) -> DetectionConfig:
@@ -76,7 +69,6 @@ def canonical_witness_config(config: DetectionConfig) -> DetectionConfig:
         simplify=True,
         sim_patterns=CANONICAL_SIM_PATTERNS,
         fraig_rounds=CANONICAL_FRAIG_ROUNDS,
-        inprocess=CANONICAL_INPROCESS,
     )
 
 
@@ -85,7 +77,6 @@ def _has_canonical_settings(config: DetectionConfig) -> bool:
         config.simplify
         and config.sim_patterns == CANONICAL_SIM_PATTERNS
         and config.fraig_rounds == CANONICAL_FRAIG_ROUNDS
-        and config.inprocess == CANONICAL_INPROCESS
     )
 
 
@@ -204,8 +195,6 @@ class DesignWorkContext:
                 simplify=self._config.simplify,
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
-                inprocess=self._config.inprocess,
-                sim_backend=self._config.sim_backend,
             )
         return self._engine
 
@@ -226,8 +215,6 @@ class DesignWorkContext:
                 simplify=self._config.simplify,
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
-                inprocess=self._config.inprocess,
-                sim_backend=self._config.sim_backend,
             )
         return self._unroller
 
@@ -274,19 +261,8 @@ class DesignWorkContext:
             return build_init_property(self._module, self.analysis, self._config)
         return build_fanout_property(self._module, self.analysis, k, self._config)
 
-    def settle_class(
-        self, k: int, allow_split: bool = True
-    ) -> Union[ClassResult, SplitResult]:
+    def settle_class(self, k: int) -> ClassResult:
         """Settle property class ``k`` (0 = init property) to a final result.
-
-        When splitting is enabled (``config.split``, combinational mode) the
-        first raw SAT call runs under a ``config.split_conflicts`` budget; a
-        class whose check exhausts it comes back as a
-        :class:`~repro.exec.records.SplitResult` carrying 2^depth cube tasks
-        for the scheduler to fan out instead of a final verdict.  Callers
-        that must produce a final answer themselves (the per-cube-SAT
-        re-settle, the canonical witness settle) pass ``allow_split=False``
-        to run unbudgeted.
 
         Fast path: settle against this context's shared incremental solver
         state.  If that produced *any* counterexample (a terminal failure or
@@ -314,15 +290,10 @@ class DesignWorkContext:
         with _progress.progress_scope(self._unit.name, k, kind), _trace.span(
             "settle", cls=k, kind=kind
         ):
-            return self._settle_class_inner(k, allow_split=allow_split)
+            return self._settle_class_inner(k)
 
-    def _settle_class_inner(
-        self, k: int, allow_split: bool = True
-    ) -> Union[ClassResult, SplitResult]:
+    def _settle_class_inner(self, k: int) -> ClassResult:
         virgin = self._virgin
-        budget: Optional[int] = None
-        if allow_split and self._config.split and self._config.mode != "sequential":
-            budget = self._config.split_conflicts
         # One wall-clock deadline covers the *whole* class settle — the fast
         # path, spurious-resolution rounds and the canonical witness
         # re-settle together — so ``check_timeout_s`` bounds the task a
@@ -332,13 +303,7 @@ class DesignWorkContext:
         if self._config.check_timeout_s is not None:
             deadline_s = _time.monotonic() + self._config.check_timeout_s
         try:
-            try:
-                result = self._settle_once(k, conflict_limit=budget, deadline_s=deadline_s)
-            except ConflictLimitExceeded:
-                # The monolithic check blew its conflict budget: abandon it
-                # (the persistent context is backtracked and fully reusable)
-                # and turn the class into cube tasks instead.
-                return self._split_class(k)
+            result = self._settle_once(k, deadline_s=deadline_s)
             if (result.rounds or result.terminal == "cex") and not (
                 virgin and _has_canonical_settings(self._config)
             ):
@@ -404,19 +369,12 @@ class DesignWorkContext:
             outcome=outcome,
         )
 
-    def _settle_once(
-        self,
-        k: int,
-        conflict_limit: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-    ) -> ClassResult:
+    def _settle_once(self, k: int, deadline_s: Optional[float] = None) -> ClassResult:
         """One settle pass against this context's own solver state."""
         self._virgin = False
         if self._config.mode == "sequential":
             return self._settle_sequential_once(k, deadline_s=deadline_s)
-        return self._settle_combinational_once(
-            k, conflict_limit=conflict_limit, deadline_s=deadline_s
-        )
+        return self._settle_combinational_once(k, deadline_s=deadline_s)
 
     def _settle_sequential_once(
         self, k: int, deadline_s: Optional[float] = None
@@ -484,10 +442,7 @@ class DesignWorkContext:
         )
 
     def _settle_combinational_once(
-        self,
-        k: int,
-        conflict_limit: Optional[int] = None,
-        deadline_s: Optional[float] = None,
+        self, k: int, deadline_s: Optional[float] = None
     ) -> ClassResult:
         """One combinational settle pass against this context's own engine.
 
@@ -528,12 +483,7 @@ class DesignWorkContext:
         rounds: List[SpuriousRound] = []
         resolved = 0
         extra_assumptions: List[str] = []
-        # Only the *first* raw solve is budgeted: once it completes (or once
-        # the class split into cubes), every follow-up — spurious-resolution
-        # re-checks, cube-SAT re-settles — must run to completion.
-        result = self.engine.finish_check(
-            prepared, conflict_limit=conflict_limit, deadline_s=deadline_s
-        )
+        result = self.engine.finish_check(prepared, deadline_s=deadline_s)
         while True:
             if result.holds:
                 outcome = PropertyOutcome(
@@ -582,123 +532,9 @@ class DesignWorkContext:
             )
             return ClassResult(terminal="cex", outcome=outcome, rounds=rounds, **base)
 
-    def _split_class(self, k: int) -> Union[ClassResult, SplitResult]:
-        """Turn a budget-exhausted class into cube tasks (Sec. cube-and-conquer).
-
-        Cube selection must be a pure function of (module, semantic config,
-        class index): the scheduler caches per-cube verdicts under keys that
-        embed the cube literals, and two runs (any ``jobs`` value, cold or
-        resumed) must fan the same class into the same cubes.  The ambient
-        engine cannot provide that — its cone shape and simulation patterns
-        depend on every class the worker settled before — so planning runs on
-        a fresh single-use context with the *canonical witness settings*
-        (:func:`canonical_witness_config`), the same trick the witness
-        re-settle uses.  If the canonical cone yields fewer than two cubes
-        (or canonical preprocessing already discharges/falsifies the check),
-        the class falls back to an unbudgeted monolithic settle on another
-        fresh canonical context, which is byte-identical to what a
-        ``--no-split`` run reports.
-        """
-        kind = "init" if k == 0 else "fanout"
-        canonical_unit = replace(
-            self._unit, config=canonical_witness_config(self._config)
-        )
-        planner = DesignWorkContext(
-            canonical_unit, analysis=self._analysis, graph=self._graph
-        )
-        prop = planner.build_property(k)
-        cubes: List[Cube] = []
-        prepared = None
-        if prop.commitments:
-            planner._virgin = False
-            prepared = planner.engine.begin_check(prop)
-            if prepared.needs_sat and prepared.sim_model is None:
-                cubes = planner.engine.plan_cubes(prepared, self._config.split_depth)
-        planner_stats = planner.stats_snapshot()
-        for counter in _WORK_COUNTERS:
-            self._extra_stats[counter] += planner_stats[counter]
-        if prepared is None or len(cubes) < 2:
-            # Unsplittable: settle monolithically on a *fresh* canonical
-            # context (the planner's engine already preprocessed the cone, so
-            # reusing it would not reproduce the canonical settle).  Virgin +
-            # canonical settings means the inner settle never re-settles.
-            fallback = DesignWorkContext(
-                canonical_unit, analysis=self._analysis, graph=self._graph
-            )
-            result = fallback._settle_class_inner(k, allow_split=False)
-            fallback_stats = fallback.stats_snapshot()
-            for counter in _WORK_COUNTERS:
-                self._extra_stats[counter] += fallback_stats[counter]
-            if not self._config.simplify:
-                _clear_preprocess_telemetry(result.outcome.result)
-            return result
-        # The all-cubes-UNSAT outcome, pre-built: its deterministic fields
-        # (merged/clause assumption counts, structural flags) are computed
-        # before preprocessing from structural hashing, so the canonical
-        # prepared result carries exactly what the ambient engine would have
-        # reported for a monolithic UNSAT — everything else is volatile
-        # telemetry the normalized report strips anyway.
-        template_result = prepared.result
-        template_result.holds = True
-        template_result.cex = None
-        if not self._config.simplify:
-            _clear_preprocess_telemetry(template_result)
-        template = outcome_to_dict(
-            PropertyOutcome(kind=kind, index=k, result=template_result)
-        )
-        return SplitResult(
-            design=self._unit.name,
-            index=k,
-            kind=kind,
-            property_name=prop.name,
-            commitments=len(prop.commitments),
-            cubes=cubes,
-            outcome_template=template,
-        )
-
-    def run_cube(self, index: int, cube: Cube) -> Tuple[CubeVerdict, Dict[str, object]]:
-        """Solve one cube of class ``index`` on this context's engine.
-
-        The cube's literals join the check's clause assumptions *before*
-        preprocessing, so simulation-first falsification and assumption
-        merging work inside the cube exactly as they do for a whole class.
-        Only satisfiability travels back (no counterexample is extracted):
-        any SAT cube sends the class to a canonical re-settle that produces
-        the witness, so the verdict is semantic — cacheable and identical on
-        every engine.
-
-        Stats have the same shape as :meth:`run_chunk`'s, so the scheduler
-        aggregates cube work into the report's solver telemetry uniformly.
-        """
-        started = _time.perf_counter()
-        tracer = _trace.Tracer() if self._config.trace else None
-        before = self.stats_snapshot()
-        with _trace.install_tracer(tracer) if tracer is not None else _nullcontext():
-            with _progress.progress_scope(self._unit.name, index, "cube"), _trace.span(
-                "cube", cls=index, literals=len(cube)
-            ):
-                self._virgin = False
-                prop = self.build_property(index)
-                prepared = self.engine.begin_check(prop, cube=cube)
-                result = self.engine.finish_check(prepared, want_cex=False)
-        after = self.stats_snapshot()
-        stats: Dict[str, object] = {
-            "backend": self.backend_name(),
-            "cnf_clauses": after["cnf_clauses"],
-            "elapsed_s": _time.perf_counter() - started,
-        }
-        for counter in _WORK_COUNTERS:
-            stats[counter] = after[counter] - before[counter]
-        if tracer is not None:
-            stats["spans"] = tracer.export()
-        verdict = CubeVerdict(
-            design=self._unit.name, index=index, cube=cube, sat=not result.holds
-        )
-        return verdict, stats
-
     def run_chunk(
-        self, indices: Sequence[int], stop_on_failure: bool, allow_split: bool = True
-    ) -> Tuple[List[Union[ClassResult, SplitResult]], Dict[str, object]]:
+        self, indices: Sequence[int], stop_on_failure: bool
+    ) -> Tuple[List[ClassResult], Dict[str, object]]:
         """Settle a shard of classes in index order; returns (results, stats).
 
         The stats dict is this chunk's *delta* of the context's solver work
@@ -716,18 +552,12 @@ class DesignWorkContext:
         started = _time.perf_counter()
         tracer = _trace.Tracer() if self._config.trace else None
         before = self.stats_snapshot()
-        results: List[Union[ClassResult, SplitResult]] = []
+        results: List[ClassResult] = []
         with _trace.install_tracer(tracer) if tracer is not None else _nullcontext():
             for k in indices:
-                result = self.settle_class(k, allow_split=allow_split)
+                result = self.settle_class(k)
                 results.append(result)
-                # A SplitResult is undecided — it cannot trip the
-                # stop-on-failure early exit (the reducer re-submits it).
-                if (
-                    stop_on_failure
-                    and isinstance(result, ClassResult)
-                    and not result.outcome.holds
-                ):
+                if stop_on_failure and not result.outcome.holds:
                     break
         after = self.stats_snapshot()
         stats: Dict[str, object] = {

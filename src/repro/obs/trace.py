@@ -46,7 +46,7 @@ _tracer: contextvars.ContextVar[Optional["Tracer"]] = contextvars.ContextVar(
 #: Span names counted as preprocessing in the profile's two-way split.
 PREPROCESS_PHASES = frozenset({"parse", "plan", "bitblast", "unroll", "preprocess", "sim", "fraig"})
 #: Span names counted as SAT solving in the profile's two-way split.
-SOLVE_PHASES = frozenset({"solve", "inprocess"})
+SOLVE_PHASES = frozenset({"solve"})
 
 
 class Tracer:

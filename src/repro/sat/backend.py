@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import importlib.util
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ConflictLimitExceeded, SolverError
 from repro.sat.solver import SatResult, SatSolver
@@ -89,29 +89,6 @@ class SatBackend(ABC):
     # -------------------------------------------------------------- #
     # Optional capabilities (no-op defaults for engines without them)
     # -------------------------------------------------------------- #
-
-    def inprocess(
-        self,
-        candidate_vars: Optional[Iterable[int]] = None,
-        max_vivify: int = 100,
-        max_occurrences: int = 10,
-    ) -> Dict[str, object]:
-        """Simplify the stored formula between checks (vivification / BVE).
-
-        Backends without inprocessing support return an empty stats dict and
-        eliminate nothing, so callers may invoke this unconditionally.  The
-        returned ``"eliminated"`` entry lists variables the backend removed
-        from the formula; callers that cache CNF encodings must stop reusing
-        those variables.
-        """
-        del candidate_vars, max_vivify, max_occurrences
-        return {
-            "vivify_checked": 0,
-            "vivified": 0,
-            "removed_clauses": 0,
-            "eliminated": [],
-            "resolvents": 0,
-        }
 
     @property
     def total_restarts(self) -> int:
@@ -188,18 +165,6 @@ class PythonCdclBackend(SatBackend):
     @property
     def solve_calls(self) -> int:
         return self._solver.solve_calls
-
-    def inprocess(
-        self,
-        candidate_vars: Optional[Iterable[int]] = None,
-        max_vivify: int = 100,
-        max_occurrences: int = 10,
-    ) -> Dict[str, object]:
-        return self._solver.inprocess(
-            candidate_vars=candidate_vars,
-            max_vivify=max_vivify,
-            max_occurrences=max_occurrences,
-        )
 
     @property
     def total_restarts(self) -> int:

@@ -17,7 +17,7 @@ node→variable cache and Tseitin clauses of the shared AIG) with one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.aig.aig import AIG
 from repro.aig.cnf import CnfBuilder
@@ -95,36 +95,6 @@ class SolverContext:
             new_clauses=new_clauses,
             reused_clauses=reused,
         )
-
-    # ------------------------------------------------------------------ #
-    # Inprocessing
-    # ------------------------------------------------------------------ #
-
-    def inprocess(
-        self,
-        max_vivify: int = 100,
-        max_occurrences: int = 10,
-    ) -> Dict[str, object]:
-        """Simplify the shared solver state between checks.
-
-        Flushes pending clauses, then asks the backend to vivify clauses and
-        eliminate variables at level 0.  Only Tseitin variables of AND nodes
-        are offered for elimination (input variables carry witness values);
-        cache entries of eliminated variables are dropped from the
-        :class:`CnfBuilder` so later checks re-encode those nodes with fresh
-        variables instead of referencing a variable the solver removed.
-        """
-        self.flush()
-        with _span("inprocess", backend=self._backend.name):
-            stats = self._backend.inprocess(
-                candidate_vars=self._builder.eliminable_vars(),
-                max_vivify=max_vivify,
-                max_occurrences=max_occurrences,
-            )
-        eliminated = stats.get("eliminated") or []
-        if eliminated:
-            stats["invalidated_nodes"] = self._builder.invalidate_vars(eliminated)
-        return stats
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -9,16 +9,8 @@ phase saving, and Luby restarts.  Literals use the DIMACS convention
 
 Clause storage uses *stable handles*: watch lists and reason pointers hold
 :class:`Clause` objects, never positional indices, so deleting learned
-clauses (or original clauses during inprocessing) cannot invalidate any
-other reference — deletion just marks the clause and watch lists drop it
-lazily on their next visit.
-
-Between solve calls, the owner may run *inprocessing* at decision level 0
-(:meth:`SatSolver.inprocess`): clause vivification shortens original
-clauses by bounded unit propagation, and bounded variable elimination
-resolves low-occurrence variables out of the formula entirely (with model
-reconstruction, so satisfying assignments still extend to the eliminated
-variables and satisfy the original clauses).
+clauses cannot invalidate any other reference — deletion just marks the
+clause and watch lists drop it lazily on their next visit.
 
 The property checker only hands the solver comparatively small formulas —
 structural hashing discharges identical logic cones before CNF generation —
@@ -128,7 +120,6 @@ class SatSolver:
         self._levels: List[int] = [0]
         self._reasons: List[Optional[Clause]] = [None]
         self._phases: List[bool] = [False]
-        self._eliminated: List[bool] = [False]
         self._activity: List[float] = [0.0]
         self._activity_increment = 1.0
         self._activity_decay = 0.95
@@ -158,11 +149,6 @@ class SatSolver:
         self._reduce_base = reduce_base
         self._reduce_increment = reduce_increment
         self._reductions = 0
-        # Vivification round-robin cursor (persists across inprocess calls).
-        self._vivify_head = 0
-        # Variable-elimination records for model reconstruction:
-        # (variable, clauses-that-mentioned-it) in elimination order.
-        self._elim_stack: List[Tuple[int, List[List[int]]]] = []
 
     # ------------------------------------------------------------------ #
     # Problem construction
@@ -174,7 +160,6 @@ class SatSolver:
         self._levels.append(0)
         self._reasons.append(None)
         self._phases.append(False)
-        self._eliminated.append(False)
         self._activity.append(0.0)
         self._heap_index.append(-1)
         self._heap_insert(self._num_vars)
@@ -193,13 +178,6 @@ class SatSolver:
             if literal == 0:
                 raise SolverError("literal 0 is not allowed")
             self.ensure_vars(abs(literal))
-        if self._elim_stack:
-            for literal in clause:
-                if self._eliminated[abs(literal)]:
-                    raise SolverError(
-                        f"variable {abs(literal)} was eliminated by inprocessing "
-                        f"and cannot appear in new clauses"
-                    )
         # Tautology check.
         for first, second in zip(clause, clause[1:]):
             if first == -second:
@@ -240,17 +218,6 @@ class SatSolver:
 
     def _watch(self, literal: int, clause: Clause, blocker: int) -> None:
         self._watches.setdefault(-literal, []).append((clause, blocker))
-
-    def _detach(self, clause: Clause) -> None:
-        """Remove the clause's two watch entries eagerly (inprocessing only)."""
-        for literal in clause.lits[:2]:
-            watch_list = self._watches.get(-literal)
-            if not watch_list:
-                continue
-            for position, entry in enumerate(watch_list):
-                if entry[0] is clause:
-                    del watch_list[position]
-                    break
 
     # ------------------------------------------------------------------ #
     # Assignment helpers
@@ -313,7 +280,7 @@ class SatSolver:
             for position, entry in enumerate(watch_list):
                 clause, blocker = entry
                 if clause.deleted:
-                    # Lazy purge of a reduced/eliminated clause.
+                    # Lazy purge of a reduced clause.
                     if new_watch_list is None:
                         new_watch_list = watch_list[:position]
                     continue
@@ -628,7 +595,7 @@ class SatSolver:
         # Assigned variables are discarded lazily; _backtrack re-inserts them.
         while self._heap:
             variable = self._heap_pop()
-            if self._assigns[variable] == self._UNASSIGNED and not self._eliminated[variable]:
+            if self._assigns[variable] == self._UNASSIGNED:
                 return variable
         return None
 
@@ -662,11 +629,6 @@ class SatSolver:
             if literal == 0:
                 raise SolverError("literal 0 is not allowed")
             self.ensure_vars(abs(literal))
-            if self._eliminated[abs(literal)]:
-                raise SolverError(
-                    f"assumption on variable {abs(literal)}, which inprocessing "
-                    f"eliminated; re-encode it as a fresh variable instead"
-                )
         self._solve_calls += 1
         self._call_base = (
             self._conflicts,
@@ -791,7 +753,6 @@ class SatSolver:
             for variable in range(1, self._num_vars + 1):
                 value = self._assigns[variable]
                 model[variable] = (value == 1) if value != self._UNASSIGNED else self._phases[variable]
-            self._reconstruct_model(model)
         base = self._call_base
         return SatResult(
             satisfiable=satisfiable,
@@ -804,265 +765,6 @@ class SatSolver:
             deleted_clauses=self._deleted_total - base[5],
         )
 
-    def _reconstruct_model(self, model: Dict[int, bool]) -> None:
-        """Extend a model over eliminated variables (solution restoration).
-
-        Processed in reverse elimination order: each variable's saved
-        occurrence clauses mention only variables that were still live when
-        it was eliminated, so every other literal already has a final model
-        value.  If some saved clause is satisfied by no other literal, the
-        eliminated variable is set to satisfy it; the resolvents added at
-        elimination time guarantee no two saved clauses pull in opposite
-        directions.
-        """
-        for variable, clauses in reversed(self._elim_stack):
-            value = self._phases[variable]
-            for lits in clauses:
-                satisfied = False
-                own_literal = 0
-                for literal in lits:
-                    other = abs(literal)
-                    if other == variable:
-                        own_literal = literal
-                        if value == (literal > 0):
-                            satisfied = True
-                            break
-                    elif model.get(other, False) == (literal > 0):
-                        satisfied = True
-                        break
-                if not satisfied and own_literal != 0:
-                    value = own_literal > 0
-            model[variable] = value
-
-    # ------------------------------------------------------------------ #
-    # Inprocessing: vivification + bounded variable elimination (level 0)
-    # ------------------------------------------------------------------ #
-
-    def inprocess(
-        self,
-        candidate_vars: Optional[Iterable[int]] = None,
-        max_vivify: int = 100,
-        max_occurrences: int = 10,
-    ) -> Dict[str, object]:
-        """Simplify the formula between solve calls, at decision level 0.
-
-        Two bounded passes:
-
-        * **clause vivification** — up to ``max_vivify`` original clauses
-          (round-robin across calls) are re-derived by assuming their
-          literals false one by one under unit propagation; a conflict or an
-          implied literal proves a shorter clause, which replaces the
-          original.  Clauses satisfied at level 0 are removed outright.
-        * **bounded variable elimination** — each unassigned variable in
-          ``candidate_vars`` whose occurrence count is at most
-          ``max_occurrences`` per polarity is resolved out when the
-          non-tautological resolvents do not outnumber the clauses removed.
-          Eliminated variables must never be referenced again (``solve``
-          and ``add_clause`` enforce this); callers that cache CNF encodings
-          must invalidate the mappings of eliminated variables.
-
-        Returns a stats dict; ``"eliminated"`` lists the eliminated
-        variables so the caller can invalidate its encodings.
-        """
-        stats: Dict[str, object] = {
-            "vivify_checked": 0,
-            "vivified": 0,
-            "removed_clauses": 0,
-            "eliminated": [],
-            "resolvents": 0,
-        }
-        if self._unsat:
-            return stats
-        if self._decision_level() != 0:
-            raise SolverError("inprocessing requires decision level 0")
-        if self._propagate() is not None:
-            self._unsat = True
-            return stats
-        self._vivify_round(max_vivify, stats)
-        if not self._unsat and candidate_vars is not None:
-            self._eliminate_round(candidate_vars, max_occurrences, stats)
-        # Compact the original tier: drop clauses deleted by either pass.
-        self._clauses = [clause for clause in self._clauses if not clause.deleted]
-        return stats
-
-    def _vivify_round(self, max_vivify: int, stats: Dict[str, object]) -> None:
-        total = len(self._clauses)
-        if total == 0:
-            return
-        checked = 0
-        position = self._vivify_head % total
-        while checked < min(max_vivify, total):
-            clause = self._clauses[position % total]
-            position += 1
-            checked += 1
-            if clause.deleted:
-                continue
-            if not self._vivify_clause(clause, stats):
-                break  # formula became UNSAT
-            if self._unsat:
-                break
-        self._vivify_head = position % max(1, len(self._clauses))
-        stats["vivify_checked"] = int(stats["vivify_checked"]) + checked
-
-    def _vivify_clause(self, clause: Clause, stats: Dict[str, object]) -> bool:
-        """Shorten one clause by bounded unit propagation; False on UNSAT."""
-        literal_value = self._literal_value
-        # Level-0 simplification first: satisfied clauses go away entirely,
-        # falsified literals are dropped before any probing.
-        lits = [lit for lit in clause.lits if literal_value(lit) != 0]
-        if any(literal_value(lit) == 1 for lit in lits):
-            clause.deleted = True
-            self._detach(clause)
-            stats["removed_clauses"] = int(stats["removed_clauses"]) + 1
-            return True
-        # Detach while probing: a clause must never participate in deriving
-        # its own replacement (that would be circular and unsound).
-        self._detach(clause)
-        self._trail_limits.append(len(self._trail))
-        new_lits: List[int] = []
-        for lit in lits:
-            value = literal_value(lit)
-            if value == 1:
-                # The negated prefix implies this literal: the clause
-                # shortens to prefix + [lit].
-                new_lits.append(lit)
-                break
-            if value == 0:
-                # The negated prefix implies NOT lit: lit is redundant.
-                continue
-            new_lits.append(lit)
-            self._enqueue(-lit, reason=None)
-            if self._propagate() is not None:
-                # Negating the prefix is contradictory: the prefix itself
-                # is an implied clause.
-                break
-        self._backtrack(0)
-        if len(new_lits) < len(clause.lits):
-            stats["vivified"] = int(stats["vivified"]) + 1
-        if not new_lits:
-            self._unsat = True
-            return False
-        if len(new_lits) == 1:
-            clause.deleted = True
-            stats["removed_clauses"] = int(stats["removed_clauses"]) + 1
-            self._enqueue(new_lits[0], reason=None)
-            if self._propagate() is not None:
-                self._unsat = True
-                return False
-            return True
-        clause.lits = new_lits
-        self._watch(new_lits[0], clause, new_lits[1])
-        self._watch(new_lits[1], clause, new_lits[0])
-        return True
-
-    def _eliminate_round(
-        self,
-        candidate_vars: Iterable[int],
-        max_occurrences: int,
-        stats: Dict[str, object],
-    ) -> None:
-        candidates = sorted(
-            {
-                variable
-                for variable in candidate_vars
-                if 1 <= variable <= self._num_vars and not self._eliminated[variable]
-            }
-        )
-        if not candidates:
-            return
-        candidate_set = set(candidates)
-        occurrences: Dict[int, List[Clause]] = {variable: [] for variable in candidates}
-        for clause in self._clauses:
-            if clause.deleted:
-                continue
-            for literal in clause.lits:
-                variable = abs(literal)
-                if variable in candidate_set:
-                    occurrences[variable].append(clause)
-        eliminated: List[int] = list(stats["eliminated"])  # type: ignore[arg-type]
-        for variable in candidates:
-            if self._unsat:
-                break
-            if self._assigns[variable] != self._UNASSIGNED:
-                continue
-            live = [clause for clause in occurrences[variable] if not clause.deleted]
-            positive = [clause for clause in live if variable in clause.lits]
-            negative = [clause for clause in live if -variable in clause.lits]
-            if len(positive) > max_occurrences or len(negative) > max_occurrences:
-                continue
-            resolvents: List[List[int]] = []
-            growth_bound = len(positive) + len(negative)
-            too_many = False
-            for pos_clause in positive:
-                for neg_clause in negative:
-                    resolvent = self._resolve(pos_clause.lits, neg_clause.lits, variable)
-                    if resolvent is None:
-                        continue  # tautology
-                    resolvents.append(resolvent)
-                    if len(resolvents) > growth_bound:
-                        too_many = True
-                        break
-                if too_many:
-                    break
-            if too_many:
-                continue
-            # Commit: remember the removed clauses for model reconstruction,
-            # delete them, add the resolvents, and retire the variable.
-            saved = [list(clause.lits) for clause in positive + negative]
-            for clause in positive + negative:
-                clause.deleted = True
-                self._detach(clause)
-            stats["removed_clauses"] = int(stats["removed_clauses"]) + len(saved)
-            attached_from = len(self._clauses)
-            for resolvent in resolvents:
-                self.add_clause(resolvent)
-                if self._unsat:
-                    break
-            stats["resolvents"] = int(stats["resolvents"]) + len(resolvents)
-            for clause in self._clauses[attached_from:]:
-                # Keep occurrence lists complete for later candidates: a
-                # missed occurrence would make a later elimination unsound.
-                if clause.deleted:
-                    continue
-                for literal in clause.lits:
-                    other = abs(literal)
-                    if other in candidate_set and other != variable:
-                        occurrences[other].append(clause)
-            self._elim_stack.append((variable, saved))
-            self._eliminated[variable] = True
-            eliminated.append(variable)
-            if not self._unsat and self._propagate() is not None:
-                self._unsat = True
-        # Learned clauses mentioning an eliminated variable are no longer
-        # implied by the reduced formula; drop them (one pass, lazily purged
-        # from watch lists like every other deletion).
-        if eliminated:
-            doomed = set(eliminated) - set(stats["eliminated"])  # type: ignore[arg-type]
-            survivors: List[Clause] = []
-            for clause in self._learned:
-                if clause.deleted:
-                    continue
-                if any(abs(literal) in doomed for literal in clause.lits):
-                    clause.deleted = True
-                else:
-                    survivors.append(clause)
-            self._learned = survivors
-        stats["eliminated"] = eliminated
-
-    @staticmethod
-    def _resolve(
-        positive_lits: List[int], negative_lits: List[int], variable: int
-    ) -> Optional[List[int]]:
-        """The resolvent on ``variable``, or None when it is a tautology."""
-        merged = {lit for lit in positive_lits if lit != variable}
-        for lit in negative_lits:
-            if lit == -variable:
-                continue
-            if -lit in merged:
-                return None
-            merged.add(lit)
-        return sorted(merged, key=abs)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -1070,10 +772,6 @@ class SatSolver:
     @property
     def num_vars(self) -> int:
         return self._num_vars
-
-    def is_eliminated(self, variable: int) -> bool:
-        """True when inprocessing eliminated the variable (see :meth:`inprocess`)."""
-        return 1 <= variable <= self._num_vars and self._eliminated[variable]
 
     @property
     def num_clauses(self) -> int:

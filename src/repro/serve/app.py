@@ -190,17 +190,6 @@ class AuditServer:
             "AIG cone nodes removed by preprocessing across served audits",
         )
         metrics.counter(
-            "repro_classes_split_total",
-            "Property classes fanned out into cube tasks across served audits",
-        )
-        metrics.counter(
-            "repro_cubes_total", "Cube tasks reduced across served audits"
-        )
-        metrics.counter(
-            "repro_cubes_cached_total",
-            "Cube verdicts replayed from the result cache across served audits",
-        )
-        metrics.counter(
             "repro_workers_lost_total",
             "Pool worker processes lost mid-task across served audits",
         )
@@ -442,17 +431,6 @@ class AuditServer:
         removed = preprocess.get("nodes_before", 0) - preprocess.get("nodes_after", 0)
         if removed > 0:
             self.metrics.inc("repro_preprocess_nodes_removed_total", removed)
-        outcomes = report.get("outcomes") or []
-        split_classes = sum(1 for outcome in outcomes if outcome.get("cubes", 0) > 1)
-        if split_classes:
-            self.metrics.inc("repro_classes_split_total", split_classes)
-            self.metrics.inc(
-                "repro_cubes_total", sum(o.get("cubes", 0) for o in outcomes)
-            )
-            self.metrics.inc(
-                "repro_cubes_cached_total",
-                sum(o.get("cubes_cached", 0) for o in outcomes),
-            )
 
     # ------------------------------------------------------------------ #
     # request-side helpers (called from handler threads)

@@ -382,6 +382,27 @@ class TestBatchSession:
         # (lazily, for counterexample diagnosis) in their own copy.
         assert len(builds) == 3
 
+    def test_run_builds_each_design_config_once(self, monkeypatch):
+        calls = []
+        original = BatchSession.config_for
+
+        def counting_config_for(batch, design):
+            calls.append(design.name)
+            return original(batch, design)
+
+        monkeypatch.setattr(BatchSession, "config_for", counting_config_for)
+        names = ["RS232-HT-FREE", "BasicRSA-HT-FREE"]
+        report = BatchSession(names).run()
+        assert report.designs_audited == 2
+        assert calls == names
+
+    def test_batch_json_is_compact_and_key_sorted(self, pipeline_module):
+        text = BatchSession([pipeline_module]).run().to_json()
+        assert "\n" not in text
+        import json
+
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+
 
 class TestEngineLifetime:
     def test_engine_freed_without_cyclic_collection(self):

@@ -1,6 +1,9 @@
 """Tests for the repro-ht-detect subcommand CLI (a thin consumer of repro.api)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -319,3 +322,131 @@ class TestReportSubcommand:
         path.write_text(json.dumps({"schema_version": 999, "design": "x", "verdict": "secure"}))
         assert main(["report", str(path)]) == 2
         assert "schema_version" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_two_not_trojan(self, monkeypatch, capsys):
+        # Exit status 1 is the trojan-suspected verdict; a crash must never
+        # be mistaken for one.
+        import repro.cli as cli
+
+        def crashing_handler(args, parser):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "list-benchmarks", crashing_handler)
+        assert main(["list-benchmarks"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+        assert err.rstrip().endswith("error: internal error: RuntimeError")
+
+
+class TestImportFootprint:
+    def test_importing_the_cli_loads_neither_numpy_nor_networkx(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        probe = (
+            "import sys, repro.cli\n"
+            "print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+
+class TestCrashExitStatus:
+    """A crash anywhere inside an audit exits 2 with its traceback, never 1."""
+
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_crash_inside_an_audit_exits_two(self, command, clean_file, monkeypatch, capsys):
+        from repro.api import DetectionSession
+
+        def overflowing_run(session):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(DetectionSession, "run", overflowing_run)
+        argv = (
+            ["run", "--verilog", clean_file, "--top", "widget"]
+            if command == "run"
+            else ["batch", "RS232-HT-FREE"]
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "RecursionError: maximum recursion depth exceeded" in captured.err
+        assert captured.err.rstrip().endswith("error: internal error: RecursionError")
+        assert "SECURE" not in captured.out and "trojan" not in captured.out.lower()
+
+    def test_repro_errors_stay_one_line_without_traceback(self, capsys):
+        assert main(["run", "--benchmark", "AES-T0"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and "internal error" not in err
+
+    def test_keyboard_interrupt_is_not_turned_into_an_exit_status(self, monkeypatch):
+        import repro.cli as cli
+
+        def interrupted_handler(args, parser):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "list-benchmarks", interrupted_handler)
+        with pytest.raises(KeyboardInterrupt):
+            main(["list-benchmarks"])
+
+
+class TestReportDocument:
+    """The JSON document is built only when ``--json`` or ``--output`` asks."""
+
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_summary_output_never_serializes_the_report(
+        self, command, clean_file, monkeypatch, capsys
+    ):
+        from repro.api import BatchReport
+
+        def refuse(report):
+            raise AssertionError("to_json called without --json/--output")
+
+        monkeypatch.setattr(DetectionReport, "to_json", refuse)
+        monkeypatch.setattr(BatchReport, "to_json", refuse)
+        argv = (
+            ["run", "--verilog", clean_file, "--top", "widget"]
+            if command == "run"
+            else ["batch", "RS232-HT-FREE"]
+        )
+        assert main(argv) == 0
+        assert "secure" in capsys.readouterr().out.lower()
+
+    def test_json_and_output_share_one_document(self, clean_file, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = DetectionReport.to_json
+
+        def counting_to_json(report):
+            calls.append(report)
+            return original(report)
+
+        monkeypatch.setattr(DetectionReport, "to_json", counting_to_json)
+        out = tmp_path / "report.json"
+        assert main(["run", "--verilog", clean_file, "--top", "widget",
+                     "--json", "--output", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_document_is_compact_and_key_sorted(self, clean_file, capsys):
+        assert main(["run", "--verilog", clean_file, "--top", "widget", "--json"]) == 0
+        text = capsys.readouterr().out.strip()
+        assert "\n" not in text
+        data = json.loads(text)
+        assert text == json.dumps(data, sort_keys=True)
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_help_lists_no_cube_inprocessing_or_kernel_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        help_text = capsys.readouterr().out
+        for flag in ("--no-split", "--split-conflicts", "--split-depth",
+                     "--no-inprocess", "--sim-backend"):
+            assert flag not in help_text
+        assert "--no-simplify" in help_text

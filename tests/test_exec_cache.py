@@ -15,7 +15,12 @@ import json
 import pytest
 
 from repro.api import Design, DetectionConfig, DetectionSession, Waiver
-from repro.core.events import ClassProven, StructurallyDischarged
+from repro.core.events import (
+    ClassProven,
+    PropertyScheduled,
+    RunStarted,
+    StructurallyDischarged,
+)
 from repro.exec import (
     ResultCache,
     class_cache_key,
@@ -123,28 +128,17 @@ class TestFingerprints:
         (dict(), dict(simplify=False)),
         (dict(), dict(sim_patterns=128)),
         (dict(), dict(fraig_rounds=2)),
-        (dict(), dict(inprocess=False)),
-        # Cube splitting: the budget decides whether a class settles as one
-        # record or as a split + cube-verdict family, and the depth decides
-        # the cube set itself — entries from different splitting regimes
-        # must never alias.
-        (dict(), dict(split=False)),
-        (dict(), dict(split_conflicts=50000)),
-        (dict(), dict(split_depth=3)),
         # A check deadline changes which classes settle vs. degrade to an
         # inconclusive timeout outcome, so timed and untimed runs (and runs
         # with different deadlines) must never share cache entries.
         (dict(), dict(check_timeout_s=5.0)),
     ]
-    # ``sim_backend`` is execution-only by a stronger argument than the
-    # scheduling knobs: the numpy and Python kernels are bit-identical, so
-    # no record bit can depend on it (tests/test_sim_backends.py).
     # ``task_retries`` only decides how many times a task is re-queued after
     # a worker crash before quarantine; a surviving task's record is
     # byte-identical however many retries it took.
     _EXECUTION_ONLY_FIELDS = {
         "stop_at_first_failure", "max_class", "jobs", "cache_dir", "use_cache",
-        "sim_backend", "trace", "task_retries",
+        "trace", "task_retries",
     }
     # Hashed through config_fingerprint's resolved backend_name parameter
     # (never the raw field, which may read "auto"); sensitivity is asserted
@@ -359,3 +353,30 @@ class TestCachedAudits:
         full = _run(CLEAN_SOURCE, cache_dir)
         assert full.cache_hits == 1
         assert full.cache_misses == len(full.outcomes) - 1
+
+
+class TestWarmCacheReads:
+    def test_warm_reaudit_reads_each_scheduled_class_once(self, tmp_path, monkeypatch):
+        # BasicRSA-T200 fails its init property, so the audit schedules only
+        # class 0 and stops.  The warm re-audit must read the cache once for
+        # that class: no lookups of classes past the cached failure, and no
+        # other record kinds to probe for.
+        design = Design.from_benchmark("BasicRSA-T200")
+        config = design.default_config(cache_dir=str(tmp_path))
+        cold = DetectionSession(design, config=config).run()
+        assert cold.trojan_detected
+
+        reads = []
+        original_get = ResultCache.get
+
+        def counting_get(cache, key):
+            reads.append(key)
+            return original_get(cache, key)
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        events = list(DetectionSession(design, config=config).iter_results())
+        scheduled = [event for event in events if isinstance(event, PropertyScheduled)]
+        started = next(event for event in events if isinstance(event, RunStarted))
+        assert started.scheduled_classes > len(scheduled) == 1
+        assert len(reads) == len(scheduled)
+        assert all(event.from_cache for event in events if hasattr(event, "from_cache"))

@@ -177,6 +177,41 @@ class TestFraigSweep:
         swept, _stats = fraig.sweep([constant])
         assert swept.roots[0] == FALSE
 
+    def _xor_tree_miter(self):
+        """Two OR-of-XOR trees folded in opposite orders: equal, but only
+        SAT search (not strashing) can prove it."""
+        aig = AIG()
+        xs = [aig.add_input(f"x{k}") for k in range(6)]
+        ys = [aig.add_input(f"y{k}") for k in range(6)]
+        left = aig.or_many(aig.xor(a, b) for a, b in zip(xs, ys))
+        right = aig.or_many(aig.xor(b, a) for a, b in zip(reversed(xs), reversed(ys)))
+        return aig, aig.xor(left, right)
+
+    def test_exhausted_proof_budget_leaves_the_cone_unmerged(self):
+        # The sweep budgets each proof with SatSolver.solve(conflict_limit=):
+        # a proof that runs out is "unknown", never a merge.
+        aig, miter = self._xor_tree_miter()
+        starved = FraigContext(
+            aig=aig,
+            context=SolverContext(aig, backend="python"),
+            patterns=PatternSet(64),
+            rounds=2,
+            conflict_limit=1,
+        )
+        swept, stats = starved.sweep([miter])
+        assert stats.proofs_unknown > 0
+        assert stats.merged_nodes == 0 and starved.merges == {}
+        assert swept.roots[0] != FALSE
+        assert _functions_agree(aig, miter, swept.roots[0])
+        # With the default budget the same sweep proves the miter constant.
+        funded = FraigContext(
+            aig=aig,
+            context=SolverContext(aig, backend="python"),
+            patterns=PatternSet(64),
+            rounds=2,
+        )
+        assert funded.sweep([miter])[0].roots[0] == FALSE
+
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=25, deadline=None)
     def test_sweep_preserves_function_on_random_cones(self, seed):

@@ -123,29 +123,6 @@ class TestConfigValidation:
             DetectionConfig(depth=-3)
         assert DetectionConfig(depth=25).depth == 25
 
-    @pytest.mark.parametrize("field", ["split_conflicts", "split_depth"])
-    def test_split_knobs_must_be_positive_integers(self, field):
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: 0})
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: -5})
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: True})
-        with pytest.raises(ConfigError, match=field):
-            DetectionConfig(**{field: "2"})
-
-    def test_split_must_be_bool(self):
-        with pytest.raises(ConfigError, match="split"):
-            DetectionConfig(split=1)
-        assert DetectionConfig(split=False).split is False
-
-    def test_split_depth_capped(self):
-        # 2^depth cube tasks per split class: an accidental depth=30 would
-        # fan a single class out into a billion solver calls.
-        with pytest.raises(ConfigError, match="split_depth"):
-            DetectionConfig(split_depth=11)
-        assert DetectionConfig(split_depth=10).split_depth == 10
-
     def test_reset_values_validated(self):
         with pytest.raises(ConfigError, match="reset_values"):
             DetectionConfig(reset_values=[("count", 1)])
@@ -157,8 +134,24 @@ class TestConfigValidation:
             DetectionConfig(reset_values={"count": True})
         assert DetectionConfig(reset_values={"count": 4}).reset_values == {"count": 4}
 
+    @pytest.mark.parametrize(
+        "field", ["split", "split_conflicts", "split_depth", "inprocess", "sim_backend"]
+    )
+    def test_serialized_configs_naming_removed_solver_knobs_fail_loudly(self, field):
+        # A service submission written for an older release must not run
+        # silently with a knob that no longer exists.
+        with pytest.raises(ConfigError, match="unknown config field"):
+            DetectionConfig.from_dict({field: False})
+        with pytest.raises(TypeError):
+            DetectionConfig(**{field: False})
+
 
 class TestReportSerialization:
+    def test_json_is_compact_and_key_sorted(self, trojaned_module):
+        text = detect_trojans(trojaned_module).to_json()
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+
     def test_secure_report_json_round_trip(self, pipeline_module):
         report = detect_trojans(pipeline_module)
         data = report.to_dict()

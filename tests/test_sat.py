@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SolverError
+from repro.errors import ConflictLimitExceeded, SolverError
 from repro.sat.solver import SatSolver, _luby
 
 
@@ -238,3 +238,84 @@ class TestPropagationCounterRegression:
         second = solver.solve()
         assert first.satisfiable and second.satisfiable
         assert first.model == second.model
+
+
+def _pigeonhole_clauses(holes):
+    """PHP(holes+1, holes): UNSAT and expensive for resolution."""
+    pigeons = holes + 1
+
+    def var(pigeon, hole):
+        return pigeon * holes + hole + 1
+
+    clauses = [
+        [var(pigeon, hole) for hole in range(holes)] for pigeon in range(pigeons)
+    ]
+    for hole in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, hole), -var(p2, hole)])
+    return clauses
+
+
+class TestConflictLimit:
+    def test_limit_raises_and_is_a_solver_error(self):
+        solver = SatSolver()
+        for clause in _pigeonhole_clauses(5):
+            solver.add_clause(clause)
+        with pytest.raises(ConflictLimitExceeded):
+            solver.solve(conflict_limit=3)
+        assert issubclass(ConflictLimitExceeded, SolverError)
+
+    def test_solver_stays_usable_after_an_aborted_call(self):
+        solver = SatSolver()
+        for clause in _pigeonhole_clauses(4):
+            solver.add_clause(clause)
+        with pytest.raises(ConflictLimitExceeded):
+            solver.solve(conflict_limit=2)
+        # The aborted call backtracked to level 0: the same persistent
+        # context finishes the proof (keeping its learned clauses).
+        assert not solver.solve().satisfiable
+
+    def test_unlimited_call_never_raises(self):
+        solver = SatSolver()
+        for clause in _pigeonhole_clauses(3):
+            solver.add_clause(clause)
+        assert not solver.solve().satisfiable
+
+    def test_limit_counts_only_the_current_calls_conflicts(self):
+        solver = SatSolver()
+        for clause in _pigeonhole_clauses(4):
+            solver.add_clause(clause)
+        with pytest.raises(ConflictLimitExceeded):
+            solver.solve(conflict_limit=2)
+        spent = solver.total_conflicts
+        assert spent == 2
+        # A second call gets its own budget: the conflicts of the aborted
+        # call do not count against it.
+        with pytest.raises(ConflictLimitExceeded):
+            solver.solve(conflict_limit=2)
+        assert solver.total_conflicts == spent + 2
+
+    def test_solver_context_forwards_the_limit(self):
+        from repro.aig.aig import AIG, FALSE
+        from repro.sat.context import SolverContext
+
+        # Two OR-of-XOR trees over the same 6-bit words, folded in opposite
+        # orders: equal functions the structural hash cannot identify, so
+        # the miter's UNSAT proof needs real search.
+        aig = AIG()
+        xs = [aig.add_input(f"x{k}") for k in range(6)]
+        ys = [aig.add_input(f"y{k}") for k in range(6)]
+        left = aig.or_many(aig.xor(a, b) for a, b in zip(xs, ys))
+        right = aig.or_many(aig.xor(b, a) for a, b in zip(reversed(xs), reversed(ys)))
+        miter = aig.xor(left, right)
+        assert miter != FALSE
+        context = SolverContext(aig, backend="python")
+        goal = context.literal_of(miter)
+        with pytest.raises(ConflictLimitExceeded):
+            context.solve([goal], conflict_limit=1)
+        # The aborted call leaves the context usable: an unlimited call
+        # settles the miter as UNSAT.
+        outcome = context.solve([goal])
+        assert not outcome.satisfiable
+        assert outcome.result.conflicts > 1

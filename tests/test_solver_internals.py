@@ -12,22 +12,15 @@ Invariants under test:
 * **conflict-clause minimization** — recursive self-subsumption never
   changes an answer and does not increase the conflict count on the
   pigeonhole family;
-* **inprocessing** — vivification shortens/removes original clauses and
-  bounded variable elimination resolves out cold Tseitin definitions, with
-  model reconstruction covering eliminated variables and any later
-  reference to one failing loudly;
 * a hypothesis fuzz drives one persistent solver through add/solve/
-  assumption/inprocess sequences against a brute-force oracle.
+  assumption sequences against a brute-force oracle.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aig.aig import AIG
-from repro.errors import SolverError
-from repro.sat import PythonCdclBackend, SatSolver, SolverContext
+from repro.sat import PythonCdclBackend, SatSolver
 from repro.sat.solver import GLUE_LBD
 
 from test_sat_backends import brute_force_satisfiable, pigeonhole_clauses
@@ -166,142 +159,6 @@ class TestConflictClauseMinimization:
                 assert solver.solve().satisfiable == expected
 
 
-class TestInprocessing:
-    def test_vivification_shortens_an_implied_clause(self):
-        # With 1 <-> 2, probing either literal of [1, 2] falsifies the
-        # other, so vivification shrinks [1, 2] to a unit (symmetric in the
-        # stored literal order).
-        solver = SatSolver()
-        solver.add_clause([-1, 2])
-        solver.add_clause([1, -2])
-        solver.add_clause([1, 2])
-        stats = solver.inprocess()
-        assert stats["vivify_checked"] > 0
-        assert stats["vivified"] >= 1
-        result = solver.solve()
-        assert result.satisfiable
-        assert result.model[1] and result.model[2]
-        assert not solver.solve(assumptions=[-1]).satisfiable
-
-    def test_elimination_resolves_out_a_cold_definition(self):
-        # v <-> (a AND b), with v referenced nowhere else: both resolution
-        # pairs are tautological, so eliminating v just drops 3 clauses.
-        solver = SatSolver()
-        a, b, v = 1, 2, 3
-        solver.add_clause([-v, a])
-        solver.add_clause([-v, b])
-        solver.add_clause([v, -a, -b])
-        solver.add_clause([a])  # keep the instance non-trivial
-        stats = solver.inprocess(candidate_vars=[v])
-        assert stats["eliminated"] == [v]
-        assert stats["resolvents"] == 0
-        assert solver.is_eliminated(v)
-        result = solver.solve()
-        assert result.satisfiable
-        # Model reconstruction restores a value for v that satisfies the
-        # original definition clauses.
-        assert result.model[v] == (result.model[a] and result.model[b])
-
-    def test_eliminated_variables_must_not_be_referenced_again(self):
-        solver = SatSolver()
-        solver.add_clause([-3, 1])
-        solver.add_clause([-3, 2])
-        solver.add_clause([3, -1, -2])
-        assert solver.inprocess(candidate_vars=[3])["eliminated"] == [3]
-        with pytest.raises(SolverError, match="eliminated"):
-            solver.solve(assumptions=[3])
-        with pytest.raises(SolverError, match="eliminated"):
-            solver.add_clause([3, 1])
-
-    def test_context_inprocessing_invalidates_encodings_and_keeps_verdicts(self):
-        aig = AIG()
-        literals = [aig.add_input(f"i{k}") for k in range(4)]
-        left = aig.and_(literals[0], literals[1])
-        right = aig.and_(literals[2], literals[3])
-        root = aig.and_(left, right)
-        context = SolverContext(aig, backend="python")
-        goal = context.literal_of(root)
-        assert context.solve(assumptions=[goal]).satisfiable
-        stats = context.inprocess()
-        # Either way the context stays sound; when variables were
-        # eliminated, their builder cache entries must be gone too.
-        eliminated = stats["eliminated"]
-        if eliminated:
-            assert stats["invalidated_nodes"] >= len(eliminated)
-        # Re-encoding the same cone (fresh variables where invalidated)
-        # still proves both polarities correctly.
-        goal = context.literal_of(root)
-        assert context.solve(assumptions=[goal]).satisfiable
-        assert context.solve(assumptions=[-goal]).satisfiable
-        inputs = [context.literal_of(literal) for literal in literals]
-        assert not context.solve(assumptions=[goal, -inputs[0]]).satisfiable
-
-    def test_default_backend_inprocess_is_a_noop(self):
-        from repro.sat.backend import SatBackend
-
-        class Minimal(SatBackend):
-            def add_clause(self, literals):
-                pass
-
-            def ensure_vars(self, count):
-                pass
-
-            def solve(self, assumptions=None, conflict_limit=None):
-                raise NotImplementedError
-
-            @property
-            def num_vars(self):
-                return 0
-
-            @property
-            def num_clauses(self):
-                return 0
-
-            @property
-            def total_conflicts(self):
-                return 0
-
-            @property
-            def solve_calls(self):
-                return 0
-
-        stats = Minimal().inprocess(candidate_vars=[1, 2])
-        assert stats["eliminated"] == []
-        assert stats["vivified"] == 0
-
-
-class TestInprocessEquivalence:
-    """Inprocessing must never change a verdict, a witness, or a report's
-    semantic content — only the performance telemetry."""
-
-    @pytest.mark.parametrize(
-        "bench_name", ["RS232-T2400", "RS232-HT-FREE", "RS232-SEQ-T3000"]
-    )
-    def test_no_inprocess_and_default_reports_are_identical(self, bench_name):
-        from repro.exec import normalized_report_dict
-        from test_preprocess import _audit
-
-        default = _audit(bench_name)
-        plain = _audit(bench_name, inprocess=False)
-        assert normalized_report_dict(default.to_dict()) == (
-            normalized_report_dict(plain.to_dict())
-        )
-        if default.counterexample is not None:
-            assert (
-                default.counterexample.values == plain.counterexample.values
-            ), "counterexample must be byte-identical across inprocess modes"
-
-    def test_parallel_no_inprocess_still_identical(self):
-        from repro.exec import normalized_report_dict
-        from test_preprocess import _audit
-
-        serial = _audit("RS232-T2400")
-        parallel = _audit("RS232-T2400", inprocess=False, jobs=2)
-        assert normalized_report_dict(serial.to_dict()) == (
-            normalized_report_dict(parallel.to_dict())
-        )
-
-
 class TestSearchCounterTelemetry:
     def test_counters_thread_through_to_the_report(self):
         from test_preprocess import _audit
@@ -352,40 +209,26 @@ class TestSolverFuzz:
         assumption_vars=st.lists(
             st.integers(min_value=1, max_value=5), min_size=0, max_size=2
         ),
-        inprocess=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_persistent_solver_agrees_with_brute_force(
-        self, clauses, extra, assumption_vars, inprocess, seed
+        self, clauses, extra, assumption_vars, seed
     ):
-        """One persistent solver through add/solve/inprocess/assume rounds."""
+        """One persistent solver through add/solve/assume/add rounds."""
         rng = random.Random(seed)
         num_vars = 5
         solver = SatSolver(reduce_base=5, reduce_increment=1)
         for clause in clauses:
             solver.add_clause(clause)
         assert solver.solve().satisfiable == brute_force_satisfiable(num_vars, clauses)
-        if inprocess:
-            solver.inprocess(candidate_vars=[rng.randint(1, num_vars)])
-        # Assumptions may only name variables inprocessing did not remove.
-        assumptions = [
-            variable * rng.choice((1, -1))
-            for variable in assumption_vars
-            if not solver.is_eliminated(variable)
-        ]
+        assumptions = [variable * rng.choice((1, -1)) for variable in assumption_vars]
         assert solver.solve(assumptions=assumptions).satisfiable == (
             brute_force_satisfiable(num_vars, clauses, assumptions)
         )
-        # Adding clauses after inprocessing keeps agreeing, as long as the
-        # new clauses avoid eliminated variables.
-        added = [
-            clause
-            for clause in extra
-            if not any(solver.is_eliminated(abs(l)) for l in clause)
-        ]
-        for clause in added:
+        # Adding clauses after solving keeps agreeing.
+        for clause in extra:
             solver.add_clause(clause)
-        combined = clauses + added
+        combined = clauses + extra
         result = solver.solve()
         assert result.satisfiable == brute_force_satisfiable(num_vars, combined)
         if result.satisfiable:
