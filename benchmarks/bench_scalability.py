@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DetectionConfig, detect_trojans
+from repro.api import DetectionSession
+from repro.core import DetectionConfig
 from repro.rtl import elaborate_source
 
 
@@ -62,7 +63,7 @@ DEPTHS = (8, 16, 32, 64)
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_runtime_scales_with_structural_depth(benchmark, depth):
     module = elaborate_source(synthetic_pipeline(depth), "synth")
-    report = benchmark.pedantic(lambda: detect_trojans(module), rounds=1, iterations=1)
+    report = benchmark.pedantic(lambda: DetectionSession(module).run(), rounds=1, iterations=1)
     assert report.is_secure
     assert report.properties_checked() == depth
     print(f"\ndepth {depth}: {report.properties_checked()} properties, "
@@ -75,7 +76,7 @@ def test_runtime_independent_of_trigger_length(benchmark, trigger_bits):
     """Detection effort must not depend on how long the Trojan's trigger takes."""
     module = elaborate_source(synthetic_pipeline(12, trojan_counter_bits=trigger_bits), "synth")
     report = benchmark.pedantic(
-        lambda: detect_trojans(module, DetectionConfig()), rounds=1, iterations=1
+        lambda: DetectionSession(module, config=DetectionConfig()).run(), rounds=1, iterations=1
     )
     assert report.trojan_detected
     print(f"\ntrigger length 2^{trigger_bits} cycles: detected by {report.detected_by}, "

@@ -115,29 +115,29 @@ def solver_internals_record(holes: int = 6) -> Dict[str, object]:
     minimization lowers (never raises) the conflict floor, and reduction
     bounds the live learned tier while provably deleting clauses.
     """
-    from repro.sat import PythonCdclBackend
+    from repro.sat import SatSolver
 
     clauses = _pigeonhole_clauses(holes)
     configurations = {
-        "minimize": PythonCdclBackend(),
-        "no_minimize": PythonCdclBackend(minimize=False),
-        "bounded_db": PythonCdclBackend(reduce_base=100, reduce_increment=25),
+        "minimize": SatSolver(),
+        "no_minimize": SatSolver(minimize=False),
+        "bounded_db": SatSolver(reduce_base=100, reduce_increment=25),
     }
     record: Dict[str, object] = {"instance": f"pigeonhole-{holes}"}
-    for label, backend in configurations.items():
+    for label, solver in configurations.items():
         for clause in clauses:
-            backend.add_clause(clause)
+            solver.add_clause(clause)
         started = time.perf_counter()
-        result = backend.solve()
+        result = solver.solve()
         if result.satisfiable:
             raise AssertionError(f"{label}: PH({holes}) must be UNSAT")
         record[label] = {
             "wall_s": time.perf_counter() - started,
             "conflicts": result.conflicts,
             "restarts": result.restarts,
-            "learned_clauses": backend.total_learned_clauses,
-            "deleted_clauses": backend.total_deleted_clauses,
-            "live_learned_clauses": backend.solver.live_learned_clauses,
+            "learned_clauses": solver.total_learned_clauses,
+            "deleted_clauses": solver.total_deleted_clauses,
+            "live_learned_clauses": solver.live_learned_clauses,
         }
     minimize, plain = record["minimize"], record["no_minimize"]
     if minimize["conflicts"] > plain["conflicts"]:

@@ -15,7 +15,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import DetectionConfig, Waiver, detect_trojans  # noqa: E402
+from repro.api import DetectionSession  # noqa: E402
+from repro.core import DetectionConfig, Waiver  # noqa: E402
 from repro.trusthub import load_design, load_module  # noqa: E402
 
 
@@ -40,7 +41,8 @@ def run_detection(name: str, with_waivers: bool = True):
     """Run the full Algorithm-1 flow on one catalogued benchmark."""
     design = load_design(name)
     module = load_module(name)
-    return design, detect_trojans(module, design_config(design, with_waivers))
+    config = design_config(design, with_waivers)
+    return design, DetectionSession(module, config=config).run()
 
 
 @pytest.fixture(scope="session")

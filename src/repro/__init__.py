@@ -13,9 +13,6 @@ Typical usage (the session API of :mod:`repro.api`)::
     report = DetectionSession(design).run()
     print(report.summary())
 
-The one-shot :func:`detect_trojans` helper is still exported as a deprecated
-shim on top of :class:`repro.api.DetectionSession`.
-
 The package also ships everything the reproduction needs: a Verilog-subset
 frontend, an RTL IR with structural fanout analysis, an AIG + CDCL SAT
 engine, an IPC property checker, regenerated Trust-Hub-style benchmarks
@@ -30,7 +27,6 @@ from repro.core import (
     TrojanDetectionFlow,
     Verdict,
     Waiver,
-    detect_trojans,
 )
 from repro.errors import ReproError
 from repro.rtl import Module, elaborate, elaborate_source
@@ -46,7 +42,6 @@ __all__ = [
     "DetectionSession",
     "BatchSession",
     "BatchReport",
-    "detect_trojans",
     "TrojanDetectionFlow",
     "DetectionConfig",
     "DetectionReport",

@@ -24,9 +24,6 @@ Batch audits over many designs share one configuration template::
 
     batch = BatchSession(["AES-HT-FREE", "RS232-HT-FREE"])
     print(batch.run().summary())
-
-The one-shot :func:`repro.detect_trojans` helper remains available as a
-deprecated shim on top of :class:`DetectionSession`.
 """
 
 from repro.api.design import Design, parse_input_list

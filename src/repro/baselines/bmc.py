@@ -68,14 +68,8 @@ class BoundedTrojanChecker:
         design: Module,
         golden: Module,
         reset_values: Optional[Dict[str, int]] = None,
-        solver_backend: str = "auto",
     ) -> None:
-        self._unroller = SequentialUnroller(
-            design,
-            golden,
-            reset_values=reset_values,
-            solver_backend=solver_backend,
-        )
+        self._unroller = SequentialUnroller(design, golden, reset_values=reset_values)
 
     @property
     def unroller(self) -> SequentialUnroller:

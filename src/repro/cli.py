@@ -34,10 +34,6 @@ daemon, streams events with ``--verbose``, and renders the finished report
 exactly like ``run`` does (same flags, same exit codes; ``--detach``
 returns immediately with the job id instead of waiting).
 
-The pre-subcommand invocation style (``repro-ht-detect --verilog ...``) is
-still accepted and mapped onto ``run`` / ``list-benchmarks`` with a
-deprecation notice on stderr.
-
 Exit codes: 0 — design(s) proven secure; 1 — a Trojan was suspected or
 signals stayed uncovered; 2 — usage, configuration, or I/O error, or an
 internal error (a bug: the traceback goes to stderr).
@@ -72,9 +68,6 @@ from repro.api import (
     parse_input_list,
 )
 from repro.errors import ReproError
-from repro.sat import available_backends, default_backend_name
-
-_SUBCOMMANDS = ("run", "batch", "list-benchmarks", "report", "cache", "serve", "submit")
 
 #: Flag defaults are read off a default config, so tuning a library default
 #: can never silently diverge from what the CLI passes (the batch template
@@ -119,13 +112,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         metavar="N",
         help="upper bound on the number of fanout property classes to check",
-    )
-    parser.add_argument(
-        "--solver-backend",
-        default="auto",
-        choices=["auto"] + available_backends(),
-        help=f"SAT backend for the persistent solver context "
-             f"(default: auto = {default_backend_name()})",
     )
     parser.add_argument(
         "--jobs", "-j",
@@ -413,23 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalise_argv(argv: List[str]) -> List[str]:
-    """Map the legacy flag-only invocation style onto the subcommands."""
-    if not argv or argv[0] in _SUBCOMMANDS or argv[0] in ("-h", "--help"):
-        return argv
-    if argv[0].startswith("-"):
-        if "--list-benchmarks" in argv:
-            rest = [arg for arg in argv if arg != "--list-benchmarks"]
-            return ["list-benchmarks"] + rest
-        print(
-            "repro-ht-detect: note: flag-only invocation is deprecated; "
-            "use the 'run' subcommand",
-            file=sys.stderr,
-        )
-        return ["run"] + argv
-    return argv
-
-
 # ---------------------------------------------------------------------- #
 # Shared helpers
 # ---------------------------------------------------------------------- #
@@ -462,7 +431,6 @@ def _shared_config_kwargs(args: argparse.Namespace) -> dict:
         cumulative_assumptions=not args.strict_paper_properties,
         stop_at_first_failure=not args.check_all,
         max_class=args.max_class,
-        solver_backend=args.solver_backend,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -479,7 +447,7 @@ def _shared_config_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _config_from_args(args: argparse.Namespace, design: Design) -> DetectionConfig:
-    if args.inputs:
+    if args.inputs is not None:
         inputs: Optional[List[str]] = parse_input_list(args.inputs)
     else:
         inputs = list(design.data_inputs) or None
@@ -501,7 +469,7 @@ def _batch_template_from_args(args: argparse.Namespace) -> Optional[DetectionCon
     dropped by a hand-maintained any-flag-set condition.
     """
     template = DetectionConfig(
-        inputs=parse_input_list(args.inputs) if args.inputs else None,
+        inputs=parse_input_list(args.inputs) if args.inputs is not None else None,
         waivers=[Waiver(signal=name, reason="command line") for name in args.waive],
         **_shared_config_kwargs(args),
     )
@@ -513,8 +481,7 @@ def _print_event(event: RunEvent, file=None) -> None:
     # single machine-readable JSON document.
     out = file if file is not None else sys.stdout
     if isinstance(event, RunStarted):
-        print(f"{event.design}: {event.scheduled_classes} property classes "
-              f"({event.solver_backend} backend)", file=out)
+        print(f"{event.design}: {event.scheduled_classes} property classes", file=out)
     elif isinstance(event, PropertyScheduled):
         print(f"  scheduled {event.label} ({event.commitments} commitments)", file=out)
     elif isinstance(event, StructurallyDischarged):
@@ -840,7 +807,7 @@ def _submission_config_dict(args: argparse.Namespace) -> dict:
     audit stays report-identical to a local ``run``.
     """
     config = DetectionConfig(
-        inputs=parse_input_list(args.inputs) if args.inputs else None,
+        inputs=parse_input_list(args.inputs) if args.inputs is not None else None,
         waivers=[Waiver(signal=name, reason="command line") for name in args.waive],
         **_shared_config_kwargs(args),
     )
@@ -922,7 +889,7 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(_normalise_argv(argv))
+    args = parser.parse_args(argv)
 
     try:
         return _HANDLERS[args.command](args, parser)

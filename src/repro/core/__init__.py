@@ -2,8 +2,8 @@
 
 Public entry points:
 
-* :class:`repro.core.flow.TrojanDetectionFlow` / :func:`repro.core.flow.detect_trojans`
-  — Algorithm 1, the iterative verification flow,
+* :class:`repro.core.flow.TrojanDetectionFlow` — Algorithm 1, the iterative
+  verification flow,
 * :mod:`repro.core.properties` — constructors for the *trojan*, *init* and
   *fanout* interval properties of Figs. 3-5,
 * :mod:`repro.core.coverage` — the signal coverage check (Sec. IV-D, case 2),
@@ -13,7 +13,7 @@ Public entry points:
 """
 
 from repro.core.config import DETECTION_MODES, DetectionConfig, Waiver
-from repro.core.flow import TrojanDetectionFlow, detect_trojans
+from repro.core.flow import TrojanDetectionFlow
 from repro.core.unroll import (
     SequentialCheckResult,
     SequentialUnroller,
@@ -34,7 +34,6 @@ __all__ = [
     "DetectionConfig",
     "Waiver",
     "TrojanDetectionFlow",
-    "detect_trojans",
     "SequentialCheckResult",
     "SequentialUnroller",
     "sequential_output_classes",

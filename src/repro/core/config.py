@@ -109,12 +109,9 @@ class DetectionConfig:
         every failure — convenient for analysing a design in one run.
     max_class:
         Optional upper bound on the number of fanout iterations, mainly for
-        tests and for experimenting with truncated flows.
-    solver_backend:
-        SAT backend of the run's persistent solver context (see
-        :mod:`repro.sat.backend`).  ``"auto"`` (default) picks the fastest
-        installed backend; ``"python"`` forces the bundled CDCL solver;
-        ``"pysat"`` requires the python-sat package.
+        tests and for experimenting with truncated flows.  The coverage
+        check counts only the classes a truncated run proved, so signals
+        left to the unchecked properties report as uncovered.
     jobs:
         Parallelism of the execution subsystem (:mod:`repro.exec`).  1
         (default) settles classes inline on the calling process; N > 1
@@ -183,8 +180,6 @@ class DetectionConfig:
         ``timeout`` outcome carrying partial telemetry instead of hanging
         the run.  Semantic for caching purposes: a timeout bound changes
         which classes settle, so it participates in the config fingerprint.
-        Best-effort on the pysat backend (which cannot be interrupted on a
-        wall-clock boundary).
     """
 
     inputs: Optional[Sequence[str]] = None
@@ -193,7 +188,6 @@ class DetectionConfig:
     waivers: List[Waiver] = field(default_factory=list)
     stop_at_first_failure: bool = True
     max_class: Optional[int] = None
-    solver_backend: str = "auto"
     jobs: int = 1
     cache_dir: Optional[str] = None
     use_cache: bool = True
@@ -209,13 +203,6 @@ class DetectionConfig:
 
     def __post_init__(self) -> None:
         """Fail at construction, not mid-run (see :class:`repro.errors.ConfigError`)."""
-        from repro.sat.backend import available_backends
-
-        if self.solver_backend != "auto" and self.solver_backend not in available_backends():
-            raise ConfigError(
-                f"unknown solver backend {self.solver_backend!r}; "
-                f"available: auto, {', '.join(available_backends())}"
-            )
         if self.max_class is not None:
             _require_int(self.max_class, "max_class", 0)
         _require_int(self.jobs, "jobs", 1)
@@ -274,7 +261,6 @@ class DetectionConfig:
             ],
             "stop_at_first_failure": self.stop_at_first_failure,
             "max_class": self.max_class,
-            "solver_backend": self.solver_backend,
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
             "use_cache": self.use_cache,

@@ -47,11 +47,18 @@ class CoverageResult:
 def check_signal_coverage(
     module: Module,
     analysis: FanoutAnalysis,
+    scheduled: int,
     graph: Optional[DependencyGraph] = None,
 ) -> CoverageResult:
-    """Check that the property set covers all state and output signals."""
+    """Check that the checked properties cover all state and output signals.
+
+    ``scheduled`` is the number of properties the run checked: the init
+    property proves placement class 1 and fanout property ``k`` class
+    ``k + 1``, so a run truncated below ``analysis.placement_depth``
+    covers only the classes it proved.
+    """
     graph = graph or DependencyGraph(module)
-    covered = set(analysis.placement)
+    covered = {signal for signal, placed in analysis.placement.items() if placed <= scheduled}
     universe = set(module.state_and_output_signals())
     uncovered = universe - covered
     influence: Dict[str, Set[str]] = {}

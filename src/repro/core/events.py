@@ -95,24 +95,20 @@ class RunStarted(RunEvent):
     """
 
     scheduled_classes: int
-    solver_backend: str
     workers: int = 1
 
     def to_dict(self) -> Dict[str, Any]:
         data = super().to_dict()
-        data.update(
-            scheduled_classes=self.scheduled_classes,
-            solver_backend=self.solver_backend,
-            workers=self.workers,
-        )
+        data.update(scheduled_classes=self.scheduled_classes, workers=self.workers)
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunStarted":
+        # Events journaled by older writers also name the SAT solver they
+        # ran on; reading only these fields lets them replay unchanged.
         return cls(
             design=data["design"],
             scheduled_classes=data["scheduled_classes"],
-            solver_backend=data["solver_backend"],
             workers=data.get("workers", 1),
         )
 

@@ -26,7 +26,6 @@ SAT search, spurious-counterexample resolution of Sec. V-B) lives in
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, Optional
 
 from repro.core.config import DetectionConfig
@@ -123,7 +122,6 @@ class TrojanDetectionFlow:
         if self._lazy_engine is None:
             self._lazy_engine = IpcEngine(
                 self._module,
-                solver_backend=self._config.solver_backend,
                 simplify=self._config.simplify,
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
@@ -189,24 +187,3 @@ class TrojanDetectionFlow:
         finally:
             executor.close()
 
-
-def detect_trojans(module: Module, config: Optional[DetectionConfig] = None) -> DetectionReport:
-    """Run Algorithm 1 on ``module`` and return the report.
-
-    .. deprecated::
-        ``detect_trojans`` is kept as a thin compatibility shim; new code
-        should use the session API::
-
-            from repro.api import Design, DetectionSession
-
-            report = DetectionSession(Design.from_module(module), config).run()
-    """
-    warnings.warn(
-        "detect_trojans() is deprecated; use repro.api.DetectionSession "
-        "(see ARCHITECTURE.md for the migration path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import DetectionSession
-
-    return DetectionSession(module, config=config).run()

@@ -41,7 +41,9 @@ from repro.rtl.fanout import FanoutAnalysis
 #: ``inconclusive`` verdict, and the fault-tolerance counters
 #: ``execution.workers_lost`` / ``execution.tasks_retried``.  Later v8
 #: writers no longer emit ``cubes`` / ``cubes_cached`` (cube splitting is
-#: gone); readers ignore them.
+#: gone); readers ignore them.  Later still, v8 writers no longer emit
+#: ``solver.backend`` (the in-repo CDCL solver is the only one); readers
+#: ignore it.
 SCHEMA_VERSION = 8
 
 #: Versions ``from_dict`` can still read.  Older versions are accepted
@@ -150,7 +152,6 @@ class DetectionReport:
     # all solver counters live in the report's "solver" block, which the
     # determinism comparisons strip wholesale (see
     # :func:`repro.exec.records.normalized_report_dict`).
-    solver_backend: str = ""
     solver_calls: int = 0
     solver_conflicts: int = 0
     solver_restarts: int = 0
@@ -240,7 +241,6 @@ class DetectionReport:
             "total_runtime_seconds": self.total_runtime_seconds,
             "spurious_resolved": self.spurious_resolved,
             "solver": {
-                "backend": self.solver_backend,
                 "calls": self.solver_calls,
                 "conflicts": self.solver_conflicts,
                 "restarts": self.solver_restarts,
@@ -301,7 +301,6 @@ class DetectionReport:
                 fanout_analysis=_fanout_from_dict(data.get("fanout_analysis")),
                 total_runtime_seconds=data.get("total_runtime_seconds", 0.0),
                 spurious_resolved=data.get("spurious_resolved", 0),
-                solver_backend=solver.get("backend", ""),
                 solver_calls=solver.get("calls", 0),
                 solver_conflicts=solver.get("conflicts", 0),
                 solver_restarts=solver.get("restarts", 0),
@@ -387,7 +386,7 @@ class DetectionReport:
         if self.solver_calls:
             stats = self.solver_stats()
             lines.append(
-                f"  solver ({self.solver_backend}): {stats['solver_calls']} calls,"
+                f"  solver: {stats['solver_calls']} calls,"
                 f" {stats['clauses_new']} new / {stats['clauses_reused']} reused clauses,"
                 f" {stats['conflicts']} conflicts, {stats['restarts']} restarts,"
                 f" {stats['learned_clauses']} learned /"

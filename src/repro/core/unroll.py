@@ -149,7 +149,6 @@ class SequentialUnroller:
         design: Module,
         golden: Module,
         reset_values: Optional[Dict[str, int]] = None,
-        solver_backend: str = "auto",
         simplify: bool = False,
         sim_patterns: int = DEFAULT_PATTERNS,
         fraig_rounds: int = 1,
@@ -164,7 +163,7 @@ class SequentialUnroller:
         self._aig = AIG()
         self._design_encoder = TransitionEncoder(design, self._aig)
         self._golden_encoder = TransitionEncoder(golden, self._aig)
-        self._context = SolverContext(self._aig, backend=solver_backend)
+        self._context = SolverContext(self._aig)
         self._design_frames: List[SymbolicFrame] = []
         self._golden_frames: List[SymbolicFrame] = []
         # Per-cycle difference literals, cached by (cycle, output name) so a
@@ -208,7 +207,6 @@ class SequentialUnroller:
         """Snapshot of the shared solver-context statistics (engine-shaped)."""
         context = self._context
         return {
-            "backend": context.backend_name,
             "solver_calls": context.solve_calls,
             "conflicts": context.cumulative_conflicts,
             "restarts": context.cumulative_restarts,

@@ -75,7 +75,7 @@ class SimulationError(ReproError):
 class ConfigError(ReproError):
     """Raised when a :class:`repro.core.config.DetectionConfig` is invalid.
 
-    Misconfiguration (unknown solver backend, negative class bound, malformed
+    Misconfiguration (unknown field or mode, negative class bound, malformed
     input lists) fails at construction time so that a bad config never makes
     it into the middle of a long verification run.
     """

@@ -47,7 +47,7 @@ from repro.exec.records import (
     normalized_report_dict,
 )
 from repro.exec.scheduler import DesignPlan, run_plans, shard_indices
-from repro.exec.worker import DesignWorkContext, WorkUnit, resolved_backend_name
+from repro.exec.worker import DesignWorkContext, WorkUnit
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -70,7 +70,6 @@ __all__ = [
     "module_fingerprint",
     "normalized_batch_report_dict",
     "normalized_report_dict",
-    "resolved_backend_name",
     "run_plans",
     "shard_indices",
 ]

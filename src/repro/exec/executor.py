@@ -34,7 +34,7 @@ import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 #: Per-worker bound on live design contexts.  Each context holds a full
 #: IpcEngine (AIG + CNF + solver state), so an unbounded cache would grow
@@ -161,15 +161,6 @@ class Executor(ABC):
     @abstractmethod
     def wait(self, task_id: int) -> ChunkOutcome:
         """Block until the submitted task ``task_id`` finishes; return its outcome."""
-
-    def run(self, tasks: Sequence[ChunkTask]) -> Iterator[ChunkOutcome]:
-        """Execute ``tasks``, yielding one outcome per task in task order.
-
-        Convenience wrapper over :meth:`submit`/:meth:`wait`.
-        """
-        self.submit(tasks)
-        for task in tasks:
-            yield self.wait(task.task_id)
 
     @abstractmethod
     def cancel_design(self, design_key: str) -> None:
@@ -559,18 +550,6 @@ class ProcessPoolExecutor(Executor):
                 worker=worker,
             )
         return self._completed.pop(task_id)
-
-    def run(self, tasks: Sequence[ChunkTask]) -> Iterator[ChunkOutcome]:
-        if self._closed:
-            raise ReproError("executor is closed")
-        if not tasks:
-            return
-        try:
-            self.submit(tasks)
-            for task in tasks:
-                yield self.wait(task.task_id)
-        finally:
-            self.close()
 
     def cancel_design(self, design_key: str) -> None:
         self._cancelled.add(design_key)

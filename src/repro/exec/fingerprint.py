@@ -50,7 +50,9 @@ from repro.rtl.ir import Module
 #: splitting and solver inprocessing are gone — the config fingerprint lost
 #: its ``split/`` and ``inprocess/`` tokens, the cache its split and cube
 #: record kinds, and outcome records their ``cubes`` / ``cubes_cached``.
-CACHE_SCHEMA_VERSION = 8
+#: v9: the in-repo CDCL solver is the only one — the config fingerprint
+#: lost its ``backend/`` token.
+CACHE_SCHEMA_VERSION = 9
 
 
 class _Hasher:
@@ -145,12 +147,8 @@ def module_fingerprint(module: Module) -> str:
     return hasher.hexdigest()
 
 
-def config_fingerprint(config: DetectionConfig, backend_name: str) -> str:
+def config_fingerprint(config: DetectionConfig) -> str:
     """SHA-256 of the semantically relevant configuration fields.
-
-    ``backend_name`` must be the *resolved* backend (never ``"auto"``), so a
-    machine where ``auto`` picks a different solver does not replay results
-    whose counterexamples that solver never produced.
 
     The detection ``mode`` is always part of the digest; every other knob is
     folded in only for the mode it can affect.  Sequential outcomes depend
@@ -169,7 +167,6 @@ def config_fingerprint(config: DetectionConfig, backend_name: str) -> str:
     """
     hasher = _Hasher()
     hasher.feed("config")
-    hasher.feed(f"backend/{backend_name}")
     hasher.feed(f"mode/{config.mode}")
     # The preprocessing switch affects both modes: it decides whether a class
     # record carries simulation or solver telemetry, so records of simplified

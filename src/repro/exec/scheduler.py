@@ -46,7 +46,7 @@ from repro.exec.records import (
     class_result_from_record,
     class_result_to_record,
 )
-from repro.exec.worker import WorkUnit, resolved_backend_name
+from repro.exec.worker import WorkUnit
 from repro.ipc.engine import PropertyCheckResult
 from repro.ipc.prop import IntervalProperty
 from repro.obs import trace as _obs_trace
@@ -151,7 +151,6 @@ class DesignPlan:
     config: DetectionConfig
     analysis: Optional[FanoutAnalysis]
     depth: int
-    backend_name: str
     golden: Optional[Module] = None
     graph: Optional[DependencyGraph] = None
     cache: Optional[ResultCache] = None
@@ -193,7 +192,6 @@ class DesignPlan:
             depth = analysis.placement_depth
             if config.max_class is not None:
                 depth = min(depth, config.max_class)
-        backend_name = resolved_backend_name(config)
         plan = cls(
             key=key,
             name=name,
@@ -201,7 +199,6 @@ class DesignPlan:
             config=config,
             analysis=analysis if config.mode != "sequential" else None,
             depth=depth,
-            backend_name=backend_name,
             golden=golden,
             graph=graph,
             cache=cache if config.use_cache else None,
@@ -216,7 +213,7 @@ class DesignPlan:
         module_fp = module_fingerprint(self.module)
         if self.golden is not None:
             module_fp = pair_module_fingerprint(module_fp, module_fingerprint(self.golden))
-        config_fp = config_fingerprint(self.config, self.backend_name)
+        config_fp = config_fingerprint(self.config)
         for index in range(self.depth):
             self.cache_keys[index] = class_cache_key(module_fp, config_fp, index)
         misses: List[int] = []
@@ -303,11 +300,6 @@ class DesignPlan:
         # Solver accounting: per-chunk work deltas sum across workers; the
         # persistent-CNF size is the largest snapshot each worker's context
         # reached for this design.
-        report.solver_backend = (
-            str(chunk_stats[0].stats.get("backend", self.backend_name))
-            if chunk_stats
-            else self.backend_name
-        )
         report.solver_calls = sum(int(cs.stats.get("solver_calls", 0)) for cs in chunk_stats)
         report.solver_conflicts = sum(int(cs.stats.get("conflicts", 0)) for cs in chunk_stats)
         report.solver_restarts = sum(int(cs.stats.get("restarts", 0)) for cs in chunk_stats)
@@ -367,7 +359,7 @@ class DesignPlan:
             # (analysis is None) have no fanout partition to cover — their
             # soundness story is the bound, reported per outcome instead.
             graph = self.graph if self.graph is not None else DependencyGraph(self.module)
-            coverage = check_signal_coverage(self.module, self.analysis, graph)
+            coverage = check_signal_coverage(self.module, self.analysis, self.depth, graph)
             report.coverage = coverage
             if report.verdict is Verdict.SECURE and not coverage.complete:
                 report.verdict = Verdict.UNCOVERED_SIGNALS
@@ -428,7 +420,6 @@ def run_plans(plans: Sequence[DesignPlan], executor: Executor) -> Iterator[RunEv
         yield RunStarted(
             design=plan.name,
             scheduled_classes=plan.depth,
-            solver_backend=plan.backend_name,
             workers=workers,
         )
         index_to_task = {

@@ -40,14 +40,6 @@ from repro.ipc.prop import IntervalProperty
 from repro.rtl.fanout import FanoutAnalysis, compute_fanout_classes
 from repro.rtl.ir import Module
 from repro.rtl.netlist import DependencyGraph
-from repro.sat.backend import default_backend_name
-
-
-def resolved_backend_name(config: DetectionConfig) -> str:
-    """The concrete backend a config will run on (``"auto"`` resolved)."""
-    if config.solver_backend == "auto":
-        return default_backend_name()
-    return config.solver_backend
 
 
 #: Preprocessing settings of the *canonical witness settle*.  Any class that
@@ -191,7 +183,6 @@ class DesignWorkContext:
         if self._engine is None:
             self._engine = IpcEngine(
                 self._module,
-                solver_backend=self._config.solver_backend,
                 simplify=self._config.simplify,
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
@@ -211,7 +202,6 @@ class DesignWorkContext:
                 self._module,
                 self._unit.golden,
                 reset_values=self._config.reset_values,
-                solver_backend=self._config.solver_backend,
                 simplify=self._config.simplify,
                 sim_patterns=self._config.sim_patterns,
                 fraig_rounds=self._config.fraig_rounds,
@@ -244,13 +234,6 @@ class DesignWorkContext:
                 snapshot[counter] += stats[counter]
             snapshot["cnf_clauses"] += stats["cnf_clauses"]
         return snapshot
-
-    def backend_name(self) -> str:
-        if self._unroller is not None:
-            return self._unroller.solver_context.backend_name
-        if self._engine is None:
-            return resolved_backend_name(self._config)
-        return self._engine.solver_context.backend_name
 
     # ------------------------------------------------------------------ #
     # Property construction and settling
@@ -389,9 +372,8 @@ class DesignWorkContext:
         """
         output = self.sequential_outputs[k]
         depth = self._config.depth
-        # The unroller's native search cannot be interrupted mid-call, so the
-        # deadline is enforced at the call boundary (same contract as the
-        # pysat backend one layer down).
+        # The unroller's search is not polled mid-call, so the deadline is
+        # enforced at the call boundary.
         if deadline_s is not None and _time.monotonic() >= deadline_s:
             raise CheckDeadlineExceeded("check deadline exceeded")
         check = self.unroller.check_output(output, depth)
@@ -515,8 +497,8 @@ class DesignWorkContext:
                     prop = self.build_property(k)
                     for signal in extra_assumptions:
                         prop.assume_equal(signal, 0)
-                    # Between-call deadline check covers backends that cannot
-                    # interrupt a native search mid-call.
+                    # Re-check the deadline before re-encoding the refined
+                    # property, not only inside the next solve.
                     if deadline_s is not None and _time.monotonic() >= deadline_s:
                         raise CheckDeadlineExceeded("check deadline exceeded")
                     result = self.engine.finish_check(
@@ -561,7 +543,6 @@ class DesignWorkContext:
                     break
         after = self.stats_snapshot()
         stats: Dict[str, object] = {
-            "backend": self.backend_name(),
             "cnf_clauses": after["cnf_clauses"],
             "elapsed_s": _time.perf_counter() - started,
         }

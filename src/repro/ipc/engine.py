@@ -126,7 +126,6 @@ class IpcEngine:
         self,
         module: Module,
         persistent_instances: Tuple[int, ...] = (0,),
-        solver_backend: str = "auto",
         simplify: bool = False,
         sim_patterns: int = DEFAULT_PATTERNS,
         fraig_rounds: int = 1,
@@ -141,7 +140,7 @@ class IpcEngine:
         # One CNF builder + one incremental solver for the engine's lifetime:
         # the node→var cache and all emitted clauses persist, so overlapping
         # cones of later checks are never re-encoded or re-learned.
-        self._context = SolverContext(self._encoder.aig, backend=solver_backend)
+        self._context = SolverContext(self._encoder.aig)
         # Preprocessing state shares the engine's lifetime too: patterns
         # (plus every refinement pattern fraig learned) and proven merges
         # keep helping across all checks of the run.
@@ -166,12 +165,11 @@ class IpcEngine:
         """Snapshot of the engine's shared solver-context statistics.
 
         One flat dict so that schedulers and reports never need to reach into
-        the context object: backend name, number of SAT calls issued, total
-        conflicts, and the size of the persistent CNF encoding.
+        the context object: number of SAT calls issued, total conflicts,
+        and the size of the persistent CNF encoding.
         """
         context = self._context
         return {
-            "backend": context.backend_name,
             "solver_calls": context.solve_calls,
             "conflicts": context.cumulative_conflicts,
             "restarts": context.cumulative_restarts,
@@ -327,7 +325,7 @@ class IpcEngine:
         """SAT stage: settle a prepared check's remaining obligations.
 
         ``deadline_s`` budgets the CDCL call in wall-clock terms (absolute
-        ``time.monotonic()`` deadline): capable backends raise
+        ``time.monotonic()`` deadline): past it the solver raises
         :class:`repro.errors.CheckDeadlineExceeded` with the persistent
         context backtracked and fully reusable.
         """

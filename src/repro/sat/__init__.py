@@ -1,29 +1,11 @@
-"""Incremental SAT solving: CDCL solver, pluggable backends, shared context."""
+"""Incremental SAT solving: the CDCL solver and its shared context."""
 
 from repro.sat.solver import SatSolver, SatResult
-from repro.sat.backend import (
-    PySatBackend,
-    PythonCdclBackend,
-    SatBackend,
-    available_backends,
-    create_backend,
-    default_backend_name,
-    pysat_available,
-    register_backend,
-)
 from repro.sat.context import ContextSolveOutcome, SolverContext
 
 __all__ = [
     "SatSolver",
     "SatResult",
-    "SatBackend",
-    "PythonCdclBackend",
-    "PySatBackend",
-    "available_backends",
-    "create_backend",
-    "default_backend_name",
-    "pysat_available",
-    "register_backend",
     "ContextSolveOutcome",
     "SolverContext",
 ]

@@ -2,13 +2,13 @@
 
 :class:`SolverContext` couples one :class:`repro.aig.cnf.CnfBuilder` (the
 node→variable cache and Tseitin clauses of the shared AIG) with one
-:class:`repro.sat.backend.SatBackend` instance.  Both live for the whole run:
+:class:`repro.sat.solver.SatSolver`.  Both live for the whole run:
 
 * encoding a cone that overlaps an earlier check reuses its CNF variables and
   clauses instead of re-running Tseitin conversion;
 * only clauses emitted since the previous solve call are fed to the solver,
-  so the solver keeps its clause database, learned clauses and heuristic
-  state across calls;
+  so the solver keeps its clause database, learned clauses, VSIDS activities
+  and saved phases across calls;
 * per-call goals (property miters, non-merged assumptions) are passed as
   solver assumptions, never asserted permanently — one failed or vacuous
   check cannot constrain the next.
@@ -17,13 +17,12 @@ node→variable cache and Tseitin clauses of the shared AIG) with one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.aig.aig import AIG
 from repro.aig.cnf import CnfBuilder
 from repro.obs.trace import span as _span
-from repro.sat.backend import SatBackend, create_backend
-from repro.sat.solver import SatResult
+from repro.sat.solver import SatResult, SatSolver
 
 
 @dataclass
@@ -44,9 +43,9 @@ class ContextSolveOutcome:
 class SolverContext:
     """Incremental CNF encoding and SAT solving over one shared AIG."""
 
-    def __init__(self, aig: AIG, backend: Union[str, SatBackend] = "auto") -> None:
+    def __init__(self, aig: AIG) -> None:
         self._builder = CnfBuilder(aig)
-        self._backend = backend if isinstance(backend, SatBackend) else create_backend(backend)
+        self._solver = SatSolver()
         self._clauses_fed = 0
 
     # ------------------------------------------------------------------ #
@@ -70,8 +69,8 @@ class SolverContext:
         clauses = self._builder.cnf.clauses
         new_clauses = clauses[self._clauses_fed :]
         for clause in new_clauses:
-            self._backend.add_clause(clause)
-        self._backend.ensure_vars(self._builder.cnf.num_vars)
+            self._solver.add_clause(clause)
+        self._solver.ensure_vars(self._builder.cnf.num_vars)
         self._clauses_fed = len(clauses)
         return len(new_clauses)
 
@@ -84,8 +83,8 @@ class SolverContext:
         """Flush newly encoded clauses and solve under ``assumptions``."""
         reused = self._clauses_fed
         new_clauses = self.flush()
-        with _span("solve", backend=self._backend.name, new_clauses=new_clauses):
-            result = self._backend.solve(
+        with _span("solve", new_clauses=new_clauses):
+            result = self._solver.solve(
                 assumptions=assumptions,
                 conflict_limit=conflict_limit,
                 deadline_s=deadline_s,
@@ -101,14 +100,6 @@ class SolverContext:
     # ------------------------------------------------------------------ #
 
     @property
-    def backend(self) -> SatBackend:
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
-    @property
     def num_vars(self) -> int:
         return self._builder.cnf.num_vars
 
@@ -122,28 +113,28 @@ class SolverContext:
 
     @property
     def solve_calls(self) -> int:
-        return self._backend.solve_calls
+        return self._solver.solve_calls
 
     @property
     def cumulative_conflicts(self) -> int:
-        return self._backend.total_conflicts
+        return self._solver.total_conflicts
 
     @property
     def cumulative_restarts(self) -> int:
-        return self._backend.total_restarts
+        return self._solver.total_restarts
 
     @property
     def cumulative_learned_clauses(self) -> int:
-        return self._backend.total_learned_clauses
+        return self._solver.total_learned_clauses
 
     @property
     def cumulative_deleted_clauses(self) -> int:
-        return self._backend.total_deleted_clauses
+        return self._solver.total_deleted_clauses
 
     def reuse_summary(self) -> str:
         """One-line human-readable account of the context's clause reuse."""
         return (
-            f"{self.backend_name} backend: {self.solve_calls} solver calls, "
+            f"{self.solve_calls} solver calls, "
             f"{self.num_clauses} CNF clauses over {self.num_vars} variables, "
             f"{self.cumulative_conflicts} conflicts"
         )

@@ -36,7 +36,6 @@ from repro.exec.fingerprint import (
     module_fingerprint,
     pair_module_fingerprint,
 )
-from repro.exec.worker import resolved_backend_name
 from repro.rtl.ir import Module
 
 #: Version of the HTTP/JSON wire protocol; served by ``/v1/health`` and
@@ -219,20 +218,26 @@ def submission_fingerprint(
 ) -> str:
     """Content fingerprint identifying one audit job for deduplication.
 
-    Two submissions collide exactly when the execution subsystem would
-    consider every one of their property classes interchangeable: same
-    canonical netlist (pair, in sequential mode), same semantic config,
-    same resolved solver backend.
+    Two submissions collide exactly when they would produce the same
+    report: same canonical netlist (pair, in sequential mode), same
+    semantic config, and the same schedule.  The class-cache fingerprint
+    rightly omits ``max_class`` and ``stop_at_first_failure`` (a class
+    settles the same either way), but both decide which classes a report
+    contains, so a truncated audit must never stand in for a full one.
     """
     module_fp = module_fingerprint(design.module)
     if golden is not None:
         module_fp = pair_module_fingerprint(module_fp, module_fingerprint(golden))
-    config_fp = config_fingerprint(config, resolved_backend_name(config))
+    config_fp = config_fingerprint(config)
     digest = hashlib.sha256()
     digest.update(b"repro-serve-job/v1\n")
     digest.update(module_fp.encode("ascii"))
     digest.update(b"\n")
     digest.update(config_fp.encode("ascii"))
+    digest.update(
+        f"\nmax-class/{config.max_class}"
+        f"\nstop-at-first-failure/{config.stop_at_first_failure}".encode("ascii")
+    )
     return digest.hexdigest()
 
 

@@ -1,12 +1,10 @@
 """Tests for the session-oriented public API (`repro.api`).
 
 Covers the Design loaders, event ordering and streaming semantics of
-DetectionSession.iter_results(), the subscriber bus, batch sessions, and the
-deprecation shim of detect_trojans().
+DetectionSession.iter_results(), the subscriber bus and batch sessions.
 """
 
 import gc
-import warnings
 import weakref
 
 import pytest
@@ -90,8 +88,7 @@ class TestDesignLoaders:
 
     def test_clock_only_module_still_loads_and_runs(self):
         # A module with no traceable data inputs is not a loader error: the
-        # flow still runs and the coverage check flags everything uncovered
-        # (matching the pre-session detect_trojans behaviour).
+        # flow still runs and the coverage check flags everything uncovered.
         source = """
         module ticker(input clk, output o);
           reg r;
@@ -269,15 +266,6 @@ class TestDetectionSession:
         with DetectionSession(pipeline_module) as session:
             assert session.run().is_secure
 
-    def test_detect_trojans_shim_warns_and_delegates(self, pipeline_module):
-        from repro import detect_trojans
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = detect_trojans(pipeline_module)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert report.is_secure
-
 
 class TestBatchSession:
     def test_batch_over_modules(self, pipeline_module, trojaned_module):
@@ -303,12 +291,12 @@ class TestBatchSession:
         assert batch.report is None  # run() never completed
 
     def test_shared_config_template_fills_design_inputs(self):
-        template = DetectionConfig(solver_backend="python")
+        template = DetectionConfig(fraig_rounds=2)
         batch = BatchSession(["BasicRSA-HT-FREE"], config=template)
         design = batch.designs[0]
         effective = batch.config_for(design)
         assert effective.inputs == list(design.data_inputs)
-        assert effective.solver_backend == "python"
+        assert effective.fraig_rounds == 2
         # recommended waivers are appended on top of the template
         assert set(design.recommended_waivers) <= set(effective.waived_signals())
 

@@ -67,19 +67,12 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-
-class TestLegacyInvocation:
-    """The pre-subcommand flag style still works, mapped onto `run`."""
-
-    def test_legacy_verilog_mode(self, clean_file, capsys):
-        assert main(["--verilog", clean_file, "--top", "widget"]) == 0
-        captured = capsys.readouterr()
-        assert "SECURE" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_legacy_list_benchmarks(self, capsys):
-        assert main(["--list-benchmarks"]) == 0
-        assert "AES-T1400" in capsys.readouterr().out
+    def test_flag_only_invocation_is_a_usage_error(self, clean_file):
+        # Every invocation names its subcommand; flags alone are not
+        # mapped onto `run`.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--verilog", clean_file, "--top", "widget"])
+        assert exit_info.value.code == 2
 
 
 class TestRunVerilog:
@@ -131,6 +124,15 @@ class TestRunVerilog:
         assert main(["run", "--verilog", clean_file, "--top", "widget",
                      "--inputs", "d,d"]) == 2
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--benchmark", "RS232-T2400"],
+        ["batch", "RS232-T2400"],
+    ])
+    def test_empty_input_list_is_a_config_error(self, argv, capsys):
+        # An empty --inputs is rejected, never read as "use the defaults".
+        assert main(argv + ["--inputs", ""]) == 2
+        assert "input list must name at least one signal" in capsys.readouterr().err
 
     def test_strict_paper_properties_flag(self, clean_file):
         assert main(["run", "--verilog", clean_file, "--top", "widget",
@@ -184,11 +186,19 @@ class TestRunBenchmark:
         assert main(["run", "--benchmark", "AES-T2500", "--check-all"]) == 1
 
     def test_max_class_flag(self, capsys):
-        # Truncating the flow checks fewer properties; the structural coverage
-        # check still passes, so the clean design stays secure.
+        # Truncating the flow checks fewer properties.  Signals that only the
+        # unchecked properties would prove stay uncovered, so even the clean
+        # design fails closed instead of reading SECURE.
         assert main(["run", "--benchmark", "RS232-HT-FREE", "--max-class", "1",
-                     "--verbose"]) == 0
+                     "--verbose"]) == 1
         assert "fanout property" not in capsys.readouterr().out
+
+    def test_truncated_audit_leaves_the_trojan_uncovered(self, capsys):
+        assert main(["run", "--benchmark", "RS232-T2400", "--max-class", "2"]) == 1
+        output = capsys.readouterr().out
+        assert "UNCOVERED-SIGNALS" in output
+        assert "coverage check" in output
+        assert "tj_frame_count" in output
 
 
 class TestListBenchmarks:
@@ -450,3 +460,10 @@ class TestSolverFlags:
                      "--no-inprocess", "--sim-backend"):
             assert flag not in help_text
         assert "--no-simplify" in help_text
+
+    @pytest.mark.parametrize("command", ["run", "batch", "submit"])
+    def test_help_lists_no_solver_backend_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--solver-backend" not in capsys.readouterr().out

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.api import DetectionSession
 from repro.core import (
     DetectionConfig,
     TrojanDetectionFlow,
     Verdict,
     Waiver,
     check_signal_coverage,
-    detect_trojans,
     diagnose_counterexample,
 )
 from repro.core.falsealarm import CauseKind
@@ -18,13 +18,15 @@ from repro.rtl import DependencyGraph, compute_fanout_classes, elaborate_source
 class TestCoverageCheck:
     def test_clean_pipeline_fully_covered(self, pipeline_module):
         analysis = compute_fanout_classes(pipeline_module)
-        coverage = check_signal_coverage(pipeline_module, analysis)
+        coverage = check_signal_coverage(pipeline_module, analysis, analysis.placement_depth)
         assert coverage.complete
         assert "all state and output signals are covered" in coverage.summary()
 
     def test_uncovered_trojan_flagged(self, uncovered_trojan_module):
         analysis = compute_fanout_classes(uncovered_trojan_module)
-        coverage = check_signal_coverage(uncovered_trojan_module, analysis)
+        coverage = check_signal_coverage(
+            uncovered_trojan_module, analysis, analysis.placement_depth
+        )
         assert not coverage.complete
         assert {"timer", "beacon"} <= coverage.uncovered
         assert "beacon" in coverage.influence["timer"]
@@ -33,7 +35,7 @@ class TestCoverageCheck:
 
 class TestDetectionFlow:
     def test_clean_pipeline_is_secure(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         assert report.verdict is Verdict.SECURE
         assert report.is_secure and not report.trojan_detected
         assert report.detected_by is None
@@ -41,7 +43,7 @@ class TestDetectionFlow:
         assert report.coverage is not None and report.coverage.complete
 
     def test_trojaned_pipeline_detected(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         assert report.verdict is Verdict.TROJAN_SUSPECTED
         assert report.detected_by == "fanout property 1"
         assert report.counterexample is not None
@@ -49,7 +51,7 @@ class TestDetectionFlow:
         assert "trig" in {cause.signal for cause in report.diagnosis.causes}
 
     def test_uncovered_trojan_found_by_coverage_check(self, uncovered_trojan_module):
-        report = detect_trojans(uncovered_trojan_module)
+        report = DetectionSession(uncovered_trojan_module).run()
         assert report.verdict is Verdict.UNCOVERED_SIGNALS
         assert report.detected_by == "coverage check"
 
@@ -58,19 +60,19 @@ class TestDetectionFlow:
         # trigger suppresses the property failure, but the structural coverage
         # check still reports the input-independent counter (Sec. IV-D case 2).
         config = DetectionConfig(waivers=[Waiver("trig", "accepted risk")])
-        report = detect_trojans(trojaned_module, config)
+        report = DetectionSession(trojaned_module, config=config).run()
         assert all(outcome.holds for outcome in report.outcomes)
         assert report.verdict is Verdict.UNCOVERED_SIGNALS
         assert "trig" in report.coverage.uncovered
 
     def test_check_all_collects_every_failure(self, trojaned_module):
         config = DetectionConfig(stop_at_first_failure=False)
-        report = detect_trojans(trojaned_module, config)
+        report = DetectionSession(trojaned_module, config=config).run()
         assert report.properties_checked() == 2
         assert not report.outcomes[1].holds
 
     def test_max_class_limits_iterations(self, pipeline_module):
-        report = detect_trojans(pipeline_module, DetectionConfig(max_class=1))
+        report = DetectionSession(pipeline_module, config=DetectionConfig(max_class=1)).run()
         assert report.properties_checked() == 1
 
     def test_flow_accessors(self, pipeline_module):
@@ -81,7 +83,7 @@ class TestDetectionFlow:
         assert flow.engine is not None
 
     def test_report_runtime_and_summary(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         assert report.total_runtime_seconds > 0
         assert report.max_property_runtime() >= 0
         summary = report.summary()
@@ -101,12 +103,13 @@ class TestDetectionFlow:
             " assign y = r2 ^ mixer; endmodule",
             "m",
         )
-        report = detect_trojans(module)
+        report = DetectionSession(module).run()
         assert report.is_secure
         assert report.spurious_resolved >= 1
 
     def test_strict_paper_mode_on_clean_pipeline(self, pipeline_module):
-        report = detect_trojans(pipeline_module, DetectionConfig(cumulative_assumptions=False))
+        config = DetectionConfig(cumulative_assumptions=False)
+        report = DetectionSession(pipeline_module, config=config).run()
         assert report.is_secure
 
 

@@ -190,6 +190,15 @@ class TestWireRoundTrip:
             assert (restored.diagnosis is None) == (event.diagnosis is None)
             assert restored.label == event.label
 
+    def test_run_started_journaled_by_an_older_writer_still_decodes(self):
+        # Older writers named the SAT solver in every RunStarted; a daemon
+        # replaying its journal must still decode those events.
+        wire = {"event": "RunStarted", "design": "pipe", "scheduled_classes": 3,
+                "solver_backend": "python", "workers": 2}
+        event = event_from_dict(wire)
+        assert isinstance(event, RunStarted)
+        assert (event.design, event.scheduled_classes, event.workers) == ("pipe", 3, 2)
+
 
 class TestWireDispatchErrors:
     def test_rejects_non_dict(self):
@@ -222,12 +231,12 @@ class TestEventBusIdentitySubscriptions:
 
         first()
         assert len(bus) == 1
-        bus.emit(RunStarted(design="d", scheduled_classes=1, solver_backend="b"))
+        bus.emit(RunStarted(design="d", scheduled_classes=1))
         assert len(seen) == 1  # exactly the surviving duplicate fired
 
         second()
         assert len(bus) == 0
-        bus.emit(RunStarted(design="d", scheduled_classes=1, solver_backend="b"))
+        bus.emit(RunStarted(design="d", scheduled_classes=1))
         assert len(seen) == 1
 
     def test_unsubscribe_twice_is_a_noop(self):
@@ -243,7 +252,7 @@ class TestEventBusIdentitySubscriptions:
         bus.subscribe(seen.append, RunStarted)
         second = bus.subscribe(seen.append, RunStarted)
         second()
-        bus.emit(RunStarted(design="d", scheduled_classes=1, solver_backend="b"))
+        bus.emit(RunStarted(design="d", scheduled_classes=1))
         assert len(seen) == 1
 
 
@@ -258,7 +267,7 @@ class TestEventBusSafeMode:
         bus.subscribe(explode, safe=True)
         bus.subscribe(delivered.append)
         with caplog.at_level(logging.ERROR, logger="repro.events"):
-            bus.emit(RunStarted(design="d", scheduled_classes=1, solver_backend="b"))
+            bus.emit(RunStarted(design="d", scheduled_classes=1))
         assert len(delivered) == 1  # delivery continued past the failure
         assert any("safe subscriber" in record.message for record in caplog.records)
 
@@ -266,7 +275,7 @@ class TestEventBusSafeMode:
         bus = EventBus()
         bus.subscribe(lambda event: (_ for _ in ()).throw(RuntimeError("boom")))
         with pytest.raises(RuntimeError, match="boom"):
-            bus.emit(RunStarted(design="d", scheduled_classes=1, solver_backend="b"))
+            bus.emit(RunStarted(design="d", scheduled_classes=1))
 
     def test_raising_safe_subscriber_does_not_change_the_report(
         self, pipeline_module, caplog

@@ -75,31 +75,20 @@ class TestFingerprints:
         assert len(module_fingerprint(design.module)) == 64
 
     def test_config_fingerprint_covers_semantic_fields(self):
-        base = config_fingerprint(DetectionConfig(), "python")
-        assert base != config_fingerprint(DetectionConfig(inputs=["a"]), "python")
-        assert base != config_fingerprint(
-            DetectionConfig(cumulative_assumptions=False), "python"
-        )
-        assert base != config_fingerprint(
-            DetectionConfig(assume_inputs_at_prove_time=False), "python"
-        )
-        assert base != config_fingerprint(
-            DetectionConfig(waivers=[Waiver("x")]), "python"
-        )
-        assert base != config_fingerprint(DetectionConfig(), "pysat-like")
+        base = config_fingerprint(DetectionConfig())
+        assert base != config_fingerprint(DetectionConfig(inputs=["a"]))
+        assert base != config_fingerprint(DetectionConfig(cumulative_assumptions=False))
+        assert base != config_fingerprint(DetectionConfig(assume_inputs_at_prove_time=False))
+        assert base != config_fingerprint(DetectionConfig(waivers=[Waiver("x")]))
 
     def test_config_fingerprint_ignores_execution_only_fields(self):
         # jobs / cache settings / stop & truncation policy never change a
         # single class's result, so they must share cache entries.
-        base = config_fingerprint(DetectionConfig(), "python")
-        assert base == config_fingerprint(DetectionConfig(jobs=4), "python")
-        assert base == config_fingerprint(
-            DetectionConfig(cache_dir="/tmp/x", use_cache=False), "python"
-        )
-        assert base == config_fingerprint(
-            DetectionConfig(stop_at_first_failure=False), "python"
-        )
-        assert base == config_fingerprint(DetectionConfig(max_class=1), "python")
+        base = config_fingerprint(DetectionConfig())
+        assert base == config_fingerprint(DetectionConfig(jobs=4))
+        assert base == config_fingerprint(DetectionConfig(cache_dir="/tmp/x", use_cache=False))
+        assert base == config_fingerprint(DetectionConfig(stop_at_first_failure=False))
+        assert base == config_fingerprint(DetectionConfig(max_class=1))
 
     def test_class_key_distinguishes_indices(self):
         keys = {class_cache_key("m", "c", index) for index in range(8)}
@@ -140,15 +129,10 @@ class TestFingerprints:
         "stop_at_first_failure", "max_class", "jobs", "cache_dir", "use_cache",
         "trace", "task_retries",
     }
-    # Hashed through config_fingerprint's resolved backend_name parameter
-    # (never the raw field, which may read "auto"); sensitivity is asserted
-    # by test_config_fingerprint_covers_semantic_fields above.
-    _HASHED_VIA_BACKEND_NAME = {"solver_backend"}
-
     @pytest.mark.parametrize("base_kwargs, mutated_kwargs", _SEMANTIC_MUTATIONS)
     def test_every_semantic_field_flips_the_fingerprint(self, base_kwargs, mutated_kwargs):
-        base = config_fingerprint(DetectionConfig(**base_kwargs), "python")
-        mutated = config_fingerprint(DetectionConfig(**mutated_kwargs), "python")
+        base = config_fingerprint(DetectionConfig(**base_kwargs))
+        mutated = config_fingerprint(DetectionConfig(**mutated_kwargs))
         assert base != mutated, f"fingerprint blind to {mutated_kwargs}"
 
     def test_semantic_mutation_table_covers_every_config_field(self):
@@ -159,9 +143,7 @@ class TestFingerprints:
 
         all_fields = {field.name for field in dataclasses.fields(DetectionConfig)}
         mutated = {name for _base, change in self._SEMANTIC_MUTATIONS for name in change}
-        unaccounted = (
-            all_fields - mutated - self._EXECUTION_ONLY_FIELDS - self._HASHED_VIA_BACKEND_NAME
-        )
+        unaccounted = all_fields - mutated - self._EXECUTION_ONLY_FIELDS
         assert not unaccounted, (
             f"DetectionConfig field(s) {sorted(unaccounted)} are neither in the "
             f"fingerprint-sensitivity table nor declared execution-only; add "
@@ -172,15 +154,13 @@ class TestFingerprints:
         # Waivers, traced inputs and the property-shape switches play no
         # role in the golden-model check; hashing them would make a warm
         # sequential cache go cold on e.g. --no-recommended-waivers.
-        base = config_fingerprint(DetectionConfig(mode="sequential"), "python")
+        base = config_fingerprint(DetectionConfig(mode="sequential"))
         assert base == config_fingerprint(
-            DetectionConfig(mode="sequential", waivers=[Waiver("x")]), "python"
+            DetectionConfig(mode="sequential", waivers=[Waiver("x")])
         )
+        assert base == config_fingerprint(DetectionConfig(mode="sequential", inputs=["a"]))
         assert base == config_fingerprint(
-            DetectionConfig(mode="sequential", inputs=["a"]), "python"
-        )
-        assert base == config_fingerprint(
-            DetectionConfig(mode="sequential", cumulative_assumptions=False), "python"
+            DetectionConfig(mode="sequential", cumulative_assumptions=False)
         )
         # ... and symmetrically, sequential-only knobs never touch
         # combinational keys (asserted for depth/reset in the table above).

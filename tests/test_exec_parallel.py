@@ -156,7 +156,8 @@ class TestExecutors:
             ChunkTask(task_id=0, design_key="k0", indices=(0,), stop_on_failure=True),
             ChunkTask(task_id=1, design_key="k0", indices=(1, 2), stop_on_failure=True),
         ]
-        outcomes = list(executor.run(tasks))
+        executor.submit(tasks)
+        outcomes = [executor.wait(task.task_id) for task in tasks]
         assert [outcome.task_id for outcome in outcomes] == [0, 1]
         assert [result.index for result in outcomes[1].results] == [1, 2]
         assert all(result.outcome.holds for o in outcomes for result in o.results)
@@ -170,7 +171,8 @@ class TestExecutors:
         gc.disable()
         try:
             executor = SerialExecutor({unit.key: unit})
-            list(executor.run([ChunkTask(0, unit.key, (0,), stop_on_failure=True)]))
+            executor.submit([ChunkTask(0, unit.key, (0,), stop_on_failure=True)])
+            executor.wait(0)
             executor.close()
             alive = weakref.ref(executor)
             del executor
@@ -202,7 +204,8 @@ class TestExecutors:
                           stop_on_failure=True)
             )
         executor = SerialExecutor(units)
-        outcomes = list(executor.run(tasks))
+        executor.submit(tasks)
+        outcomes = [executor.wait(task.task_id) for task in tasks]
         assert len(outcomes) == len(tasks)
         assert len(executor._contexts) <= MAX_CONTEXTS_PER_WORKER
 
@@ -213,11 +216,11 @@ class TestExecutors:
             ChunkTask(task_id=0, design_key="k0", indices=(0,), stop_on_failure=True),
             ChunkTask(task_id=1, design_key="k0", indices=(1,), stop_on_failure=True),
         ]
-        stream = executor.run(tasks)
-        first = next(stream)
+        executor.submit(tasks)
+        first = executor.wait(0)
         assert not first.skipped
         executor.cancel_design("k0")
-        second = next(stream)
+        second = executor.wait(1)
         assert second.skipped and second.results == []
 
     def test_pool_executor_settles_chunks_on_workers(self):
@@ -228,7 +231,11 @@ class TestExecutors:
             ChunkTask(task_id=1, design_key="k0", indices=(1,), stop_on_failure=True),
             ChunkTask(task_id=2, design_key="k0", indices=(2,), stop_on_failure=True),
         ]
-        outcomes = list(executor.run(tasks))
+        executor.submit(tasks)
+        try:
+            outcomes = [executor.wait(task.task_id) for task in tasks]
+        finally:
+            executor.close()
         assert [outcome.task_id for outcome in outcomes] == [0, 1, 2]
         assert all(result.outcome.holds for o in outcomes for result in o.results)
         workers = {outcome.worker for outcome in outcomes}
@@ -240,8 +247,12 @@ class TestExecutors:
         unit = _unit(inputs=["no_such_signal"])
         executor = ProcessPoolExecutor({unit.key: unit}, jobs=2)
         task = ChunkTask(task_id=0, design_key="k0", indices=(0,), stop_on_failure=True)
-        with pytest.raises(ReproError, match="worker"):
-            list(executor.run([task]))
+        executor.submit([task])
+        try:
+            with pytest.raises(ReproError, match="worker"):
+                executor.wait(task.task_id)
+        finally:
+            executor.close()
 
     def test_pool_executor_rejects_serial_job_counts(self):
         unit = _unit()

@@ -190,7 +190,10 @@ class TestWorkerSupervision:
             ChunkTask(task_id=i, design_key="k0", indices=(i,), stop_on_failure=True)
             for i in range(3)
         ]
-        list(executor.run(tasks))  # run() closes on exhaustion
+        executor.submit(tasks)
+        for task in tasks:
+            executor.wait(task.task_id)
+        executor.close()
         executor.close()  # idempotent
         leftovers = [
             child

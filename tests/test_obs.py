@@ -203,9 +203,7 @@ class TestProgressHeartbeats:
     def test_session_run_emits_heartbeats_on_hard_solves(self, monkeypatch):
         monkeypatch.setattr(obs_progress, "HEARTBEAT_CONFLICTS", 2)
         design = Design.from_benchmark("RS232-T2400")
-        config = replace(
-            design.default_config(), simplify=False, solver_backend="python"
-        )
+        config = replace(design.default_config(), simplify=False)
         session = DetectionSession(design, config=config)
         beats = []
         session.subscribe(beats.append, event_type=SolverProgress)
@@ -219,9 +217,7 @@ class TestProgressHeartbeats:
     def test_heartbeats_never_enter_the_result_stream(self, monkeypatch):
         monkeypatch.setattr(obs_progress, "HEARTBEAT_CONFLICTS", 2)
         design = Design.from_benchmark("RS232-T2400")
-        config = replace(
-            design.default_config(), simplify=False, solver_backend="python"
-        )
+        config = replace(design.default_config(), simplify=False)
         yielded = list(DetectionSession(design, config=config).iter_results())
         assert not any(isinstance(event, SolverProgress) for event in yielded)
 
@@ -240,8 +236,8 @@ class TestTraceIsAnExecutionKnob:
     def test_trace_not_in_fingerprint(self):
         from repro.exec.fingerprint import config_fingerprint
 
-        traced = config_fingerprint(DetectionConfig(trace=True), "python")
-        untraced = config_fingerprint(DetectionConfig(trace=False), "python")
+        traced = config_fingerprint(DetectionConfig(trace=True))
+        untraced = config_fingerprint(DetectionConfig(trace=False))
         assert traced == untraced
 
     def test_normalized_report_identical_traced_or_not(self, trojaned_module):

@@ -151,7 +151,7 @@ class TestFraigSweep:
         miter = aig.xor(left, right)
         fraig = FraigContext(
             aig=aig,
-            context=SolverContext(aig, backend="python"),
+            context=SolverContext(aig),
             patterns=PatternSet(64),
             rounds=2,
         )
@@ -171,7 +171,7 @@ class TestFraigSweep:
             pytest.skip("constructor folded the cone; nothing to sweep")
         fraig = FraigContext(
             aig=aig,
-            context=SolverContext(aig, backend="python"),
+            context=SolverContext(aig),
             patterns=PatternSet(64),
         )
         swept, _stats = fraig.sweep([constant])
@@ -193,7 +193,7 @@ class TestFraigSweep:
         aig, miter = self._xor_tree_miter()
         starved = FraigContext(
             aig=aig,
-            context=SolverContext(aig, backend="python"),
+            context=SolverContext(aig),
             patterns=PatternSet(64),
             rounds=2,
             conflict_limit=1,
@@ -206,7 +206,7 @@ class TestFraigSweep:
         # With the default budget the same sweep proves the miter constant.
         funded = FraigContext(
             aig=aig,
-            context=SolverContext(aig, backend="python"),
+            context=SolverContext(aig),
             patterns=PatternSet(64),
             rounds=2,
         )
@@ -219,7 +219,7 @@ class TestFraigSweep:
         aig, root = _random_cone(rng, num_inputs=5, num_gates=30)
         fraig = FraigContext(
             aig=aig,
-            context=SolverContext(aig, backend="python"),
+            context=SolverContext(aig),
             patterns=PatternSet(32),
             rounds=2,
         )

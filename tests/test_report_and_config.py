@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core import DetectionConfig, Verdict, Waiver, detect_trojans
+from repro.api import DetectionSession
+from repro.core import DetectionConfig, Verdict, Waiver
 from repro.core.report import SCHEMA_VERSION, DetectionReport
 from repro.errors import (
     BitblastError,
@@ -61,14 +62,6 @@ class TestDetectionConfig:
 
 class TestConfigValidation:
     """Misconfiguration fails at construction, not mid-run."""
-
-    def test_unknown_solver_backend(self):
-        with pytest.raises(ConfigError, match="unknown solver backend"):
-            DetectionConfig(solver_backend="z3")
-
-    def test_known_backends_accepted(self):
-        assert DetectionConfig(solver_backend="auto").solver_backend == "auto"
-        assert DetectionConfig(solver_backend="python").solver_backend == "python"
 
     def test_negative_max_class(self):
         with pytest.raises(ConfigError, match="max_class"):
@@ -135,7 +128,8 @@ class TestConfigValidation:
         assert DetectionConfig(reset_values={"count": 4}).reset_values == {"count": 4}
 
     @pytest.mark.parametrize(
-        "field", ["split", "split_conflicts", "split_depth", "inprocess", "sim_backend"]
+        "field",
+        ["split", "split_conflicts", "split_depth", "inprocess", "sim_backend", "solver_backend"],
     )
     def test_serialized_configs_naming_removed_solver_knobs_fail_loudly(self, field):
         # A service submission written for an older release must not run
@@ -148,12 +142,12 @@ class TestConfigValidation:
 
 class TestReportSerialization:
     def test_json_is_compact_and_key_sorted(self, trojaned_module):
-        text = detect_trojans(trojaned_module).to_json()
+        text = DetectionSession(trojaned_module).run().to_json()
         assert "\n" not in text
         assert text == json.dumps(json.loads(text), sort_keys=True)
 
     def test_secure_report_json_round_trip(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         data = report.to_dict()
         assert data["schema_version"] == SCHEMA_VERSION
         restored = DetectionReport.from_dict(json.loads(report.to_json()))
@@ -162,7 +156,7 @@ class TestReportSerialization:
         assert restored.design == report.design
 
     def test_failing_report_round_trips_cex_and_diagnosis(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         restored = DetectionReport.from_json(report.to_json())
         assert restored.to_dict() == report.to_dict()
         assert restored.trojan_detected
@@ -175,7 +169,7 @@ class TestReportSerialization:
         ]
 
     def test_round_trip_preserves_summary_queries(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         restored = DetectionReport.from_json(report.to_json())
         assert restored.property_runtimes() == report.property_runtimes()
         assert restored.solver_stats() == report.solver_stats()
@@ -183,20 +177,20 @@ class TestReportSerialization:
         assert restored.summary()  # renders without the original objects
 
     def test_uncovered_report_round_trips_coverage(self, uncovered_trojan_module):
-        report = detect_trojans(uncovered_trojan_module)
+        report = DetectionSession(uncovered_trojan_module).run()
         assert report.verdict is Verdict.UNCOVERED_SIGNALS
         restored = DetectionReport.from_json(report.to_json())
         assert restored.to_dict() == report.to_dict()
         assert restored.coverage.uncovered == report.coverage.uncovered
 
     def test_fanout_analysis_round_trips(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         restored = DetectionReport.from_json(report.to_json())
         assert restored.fanout_analysis.classes == report.fanout_analysis.classes
         assert restored.fanout_analysis.placement == report.fanout_analysis.placement
 
     def test_from_dict_rejects_unknown_version(self, pipeline_module):
-        data = detect_trojans(pipeline_module).to_dict()
+        data = DetectionSession(pipeline_module).run().to_dict()
         data["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ReproError, match="schema_version"):
             DetectionReport.from_dict(data)
@@ -204,7 +198,7 @@ class TestReportSerialization:
     def test_v1_reports_still_load(self, pipeline_module):
         # v2 only added the execution block, so v1 documents stay readable
         # with execution defaults filled in.
-        data = detect_trojans(pipeline_module).to_dict()
+        data = DetectionSession(pipeline_module).run().to_dict()
         data["schema_version"] = 1
         del data["execution"]
         restored = DetectionReport.from_dict(data)
@@ -229,7 +223,7 @@ class TestReportSerialization:
             DetectionReport.from_dict({"schema_version": SCHEMA_VERSION, "verdict": "secure"})
 
     def test_execution_block_round_trips(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         report.workers = 4
         report.cache_hits = 2
         report.cache_misses = 3
@@ -250,14 +244,14 @@ class TestReportSerialization:
         assert restored.to_dict() == data
 
     def test_summary_mentions_cache_activity(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         report.cache_hits = 2
         assert "result cache" in report.summary()
 
 
 class TestDetectionReport:
     def test_report_fields_for_secure_run(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         assert isinstance(report, DetectionReport)
         assert report.design == "pipe"
         assert report.verdict is Verdict.SECURE
@@ -265,12 +259,12 @@ class TestDetectionReport:
         assert str(report)
 
     def test_property_runtime_map_labels(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         labels = set(report.property_runtimes())
         assert labels == {"init property", "fanout property 1"}
 
     def test_summary_mentions_spurious_when_present(self, pipeline_module):
-        report = detect_trojans(pipeline_module)
+        report = DetectionSession(pipeline_module).run()
         report.spurious_resolved = 3
         assert "spurious" in report.summary()
 
@@ -279,7 +273,7 @@ class TestDetectionReport:
         assert str(Verdict.TROJAN_SUSPECTED) == "trojan-suspected"
 
     def test_outcome_labels(self, trojaned_module):
-        report = detect_trojans(trojaned_module)
+        report = DetectionSession(trojaned_module).run()
         assert report.outcomes[0].label == "init property"
         assert report.outcomes[-1].label.startswith("fanout property")
 

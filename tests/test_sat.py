@@ -1,4 +1,4 @@
-"""Tests for the CDCL SAT solver."""
+"""Tests for the CDCL SAT solver and the incremental context over it."""
 
 import itertools
 import random
@@ -6,16 +6,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aig.aig import AIG
 from repro.errors import ConflictLimitExceeded, SolverError
+from repro.sat.context import SolverContext
 from repro.sat.solver import SatSolver, _luby
 
 
-def brute_force_satisfiable(num_vars, clauses):
+def brute_force_satisfiable(num_vars, clauses, assumptions=()):
+    constrained = list(clauses) + [[literal] for literal in assumptions]
     for bits in itertools.product((False, True), repeat=num_vars):
         assignment = {i + 1: bits[i] for i in range(num_vars)}
         if all(
             any((assignment[abs(l)] if l > 0 else not assignment[abs(l)]) for l in clause)
-            for clause in clauses
+            for clause in constrained
         ):
             return True
     return False
@@ -240,7 +243,7 @@ class TestPropagationCounterRegression:
         assert first.model == second.model
 
 
-def _pigeonhole_clauses(holes):
+def pigeonhole_clauses(holes):
     """PHP(holes+1, holes): UNSAT and expensive for resolution."""
     pigeons = holes + 1
 
@@ -260,7 +263,7 @@ def _pigeonhole_clauses(holes):
 class TestConflictLimit:
     def test_limit_raises_and_is_a_solver_error(self):
         solver = SatSolver()
-        for clause in _pigeonhole_clauses(5):
+        for clause in pigeonhole_clauses(5):
             solver.add_clause(clause)
         with pytest.raises(ConflictLimitExceeded):
             solver.solve(conflict_limit=3)
@@ -268,7 +271,7 @@ class TestConflictLimit:
 
     def test_solver_stays_usable_after_an_aborted_call(self):
         solver = SatSolver()
-        for clause in _pigeonhole_clauses(4):
+        for clause in pigeonhole_clauses(4):
             solver.add_clause(clause)
         with pytest.raises(ConflictLimitExceeded):
             solver.solve(conflict_limit=2)
@@ -278,13 +281,13 @@ class TestConflictLimit:
 
     def test_unlimited_call_never_raises(self):
         solver = SatSolver()
-        for clause in _pigeonhole_clauses(3):
+        for clause in pigeonhole_clauses(3):
             solver.add_clause(clause)
         assert not solver.solve().satisfiable
 
     def test_limit_counts_only_the_current_calls_conflicts(self):
         solver = SatSolver()
-        for clause in _pigeonhole_clauses(4):
+        for clause in pigeonhole_clauses(4):
             solver.add_clause(clause)
         with pytest.raises(ConflictLimitExceeded):
             solver.solve(conflict_limit=2)
@@ -297,8 +300,7 @@ class TestConflictLimit:
         assert solver.total_conflicts == spent + 2
 
     def test_solver_context_forwards_the_limit(self):
-        from repro.aig.aig import AIG, FALSE
-        from repro.sat.context import SolverContext
+        from repro.aig.aig import FALSE
 
         # Two OR-of-XOR trees over the same 6-bit words, folded in opposite
         # orders: equal functions the structural hash cannot identify, so
@@ -310,7 +312,7 @@ class TestConflictLimit:
         right = aig.or_many(aig.xor(b, a) for a, b in zip(reversed(xs), reversed(ys)))
         miter = aig.xor(left, right)
         assert miter != FALSE
-        context = SolverContext(aig, backend="python")
+        context = SolverContext(aig)
         goal = context.literal_of(miter)
         with pytest.raises(ConflictLimitExceeded):
             context.solve([goal], conflict_limit=1)
@@ -319,3 +321,175 @@ class TestConflictLimit:
         outcome = context.solve([goal])
         assert not outcome.satisfiable
         assert outcome.result.conflicts > 1
+
+
+class TestAssumptionBasedSolving:
+    def test_unsat_under_assumptions_stays_solvable_without_them(self):
+        solver = SatSolver()
+        guard = 13
+        for clause in pigeonhole_clauses(3):
+            solver.add_clause(clause + [-guard])
+        assert not solver.solve(assumptions=[guard]).satisfiable
+        # The same formula must remain solvable once the guard is dropped …
+        assert solver.solve().satisfiable
+        # … and even re-checkable under the opposite guard.
+        assert solver.solve(assumptions=[-guard]).satisfiable
+
+    def test_learned_clauses_persist_across_solve_calls(self):
+        solver = SatSolver()
+        guard = 13
+        clauses = pigeonhole_clauses(3)
+        for clause in clauses:
+            solver.add_clause(clause + [-guard])
+        problem_clauses = solver.num_clauses
+        first = solver.solve(assumptions=[guard])
+        assert not first.satisfiable and first.conflicts > 0
+        # Conflict analysis appended learned clauses to the database.
+        assert solver.num_clauses > problem_clauses
+        learned_after_first = solver.num_clauses
+        # A repeat of the same query keeps the learned clauses and resolves
+        # with no more conflicts than the cold call.
+        second = solver.solve(assumptions=[guard])
+        assert not second.satisfiable
+        assert second.conflicts <= first.conflicts
+        assert solver.num_clauses >= learned_after_first
+
+    def test_per_call_statistics_reset(self):
+        solver = SatSolver()
+        for clause in pigeonhole_clauses(3):
+            solver.add_clause(clause)
+        first = solver.solve()
+        assert not first.satisfiable and first.conflicts > 0
+        assert solver.total_conflicts >= first.conflicts
+        assert solver.solve_calls == 1
+        # A permanently UNSAT formula answers immediately on the next call.
+        second = solver.solve()
+        assert not second.satisfiable and second.conflicts == 0
+        assert solver.solve_calls == 2
+
+    def test_phase_and_activity_state_survive(self):
+        solver = SatSolver()
+        solver.add_clause([1, 2])
+        solver.add_clause([-1, 3])
+        first = solver.solve(assumptions=[1])
+        assert first.satisfiable and first.model[3] is True
+        second = solver.solve()
+        assert second.satisfiable
+
+
+class TestSolverConformance:
+    """The solver agrees with brute force on small instances."""
+
+    def _random_instances(self, count=8):
+        rng = random.Random(7)
+        instances = []
+        for _ in range(count):
+            num_vars = rng.randint(3, 7)
+            clauses = []
+            for _ in range(rng.randint(3, 20)):
+                size = rng.randint(1, 3)
+                variables = rng.sample(range(1, num_vars + 1), min(size, num_vars))
+                clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+            instances.append((num_vars, clauses))
+        return instances
+
+    def test_agrees_with_brute_force(self):
+        for num_vars, clauses in self._random_instances():
+            solver = SatSolver()
+            for clause in clauses:
+                solver.add_clause(clause)
+            result = solver.solve()
+            assert result.satisfiable == brute_force_satisfiable(num_vars, clauses)
+
+    def test_agrees_under_assumptions(self):
+        for num_vars, clauses in self._random_instances():
+            solver = SatSolver()
+            for clause in clauses:
+                solver.add_clause(clause)
+            for assumption in ([1], [-1], [1, 2], [-1, -2]):
+                result = solver.solve(assumptions=assumption)
+                expected = brute_force_satisfiable(num_vars, clauses, assumption)
+                assert result.satisfiable == expected
+                # UNSAT under assumptions must never poison the formula.
+                if not result.satisfiable:
+                    follow_up = solver.solve()
+                    assert follow_up.satisfiable == brute_force_satisfiable(num_vars, clauses)
+
+    def test_pigeonhole_unsat(self):
+        solver = SatSolver()
+        for clause in pigeonhole_clauses(3):
+            solver.add_clause(clause)
+        assert not solver.solve().satisfiable
+        assert solver.total_conflicts > 0
+        assert solver.solve_calls == 1
+
+    def test_model_satisfies_formula(self):
+        clauses = [[1, 2], [-1, -2], [2, 3], [-3, 1]]
+        solver = SatSolver()
+        for clause in clauses:
+            solver.add_clause(clause)
+        result = solver.solve()
+        assert result.satisfiable
+        for clause in clauses:
+            assert any(
+                (result.model.get(abs(l), False) if l > 0 else not result.model.get(abs(l), False))
+                for l in clause
+            )
+
+
+class TestSolverContext:
+    def _and_chain(self, aig, names):
+        literal = None
+        for name in names:
+            node = aig.add_input(name)
+            literal = node if literal is None else aig.and_(literal, node)
+        return literal
+
+    def test_only_new_clauses_are_fed(self):
+        aig = AIG()
+        root = self._and_chain(aig, "abcd")
+        context = SolverContext(aig)
+        goal = context.literal_of(root)
+        first = context.solve([goal])
+        assert first.satisfiable
+        assert first.new_clauses > 0 and first.reused_clauses == 0
+        # Same goal again: the cone is cached, nothing new to feed.
+        second = context.solve([context.literal_of(root)])
+        assert second.satisfiable
+        assert second.new_clauses == 0
+        assert second.reused_clauses == first.new_clauses
+
+    def test_overlapping_cone_adds_only_delta(self):
+        aig = AIG()
+        a, b = aig.add_input("a"), aig.add_input("b")
+        shared = aig.and_(a, b)
+        context = SolverContext(aig)
+        context.solve([context.literal_of(shared)])
+        grown = aig.and_(shared, aig.add_input("c"))
+        second = context.solve([context.literal_of(grown)])
+        assert second.satisfiable
+        # Only the new AND gate's three Tseitin clauses are added.
+        assert 0 < second.new_clauses <= 3
+
+    def test_assumptions_do_not_poison_the_context(self):
+        aig = AIG()
+        a, b = aig.add_input("a"), aig.add_input("b")
+        both = aig.and_(a, b)
+        neither = aig.and_(aig.not_(a), aig.not_(b))
+        context = SolverContext(aig)
+        conflict = [context.literal_of(both), context.literal_of(neither)]
+        assert not context.solve(conflict).satisfiable
+        # Each goal alone remains satisfiable in the same context.
+        assert context.solve([context.literal_of(both)]).satisfiable
+        assert context.solve([context.literal_of(neither)]).satisfiable
+        assert context.solve_calls == 3
+
+    def test_statistics_accessors(self):
+        aig = AIG()
+        root = self._and_chain(aig, "ab")
+        context = SolverContext(aig)
+        context.solve([context.literal_of(root)])
+        assert context.num_clauses == context.clauses_fed > 0
+        assert context.num_vars >= 3
+        assert context.solve_calls == 1
+        assert "1 solver calls" in context.reuse_summary()

@@ -155,8 +155,7 @@ class TestPrepareSubmission:
 
     def test_fingerprint_tracks_semantic_config_and_source(self, tmp_path):
         base = {"verilog": SMALL_SOURCE, "top": "widget"}
-        # sim_patterns is a semantic knob (it enters the config fingerprint);
-        # stop-knobs like max_class deliberately do not.
+        # sim_patterns is a semantic knob (it enters the config fingerprint).
         deeper = {
             "verilog": SMALL_SOURCE,
             "top": "widget",
@@ -168,6 +167,17 @@ class TestPrepareSubmission:
             for body in (base, deeper, mutated)
         }
         assert len(fingerprints) == 3
+
+    @pytest.mark.parametrize("schedule", [{"max_class": 1}, {"stop_at_first_failure": False}])
+    def test_fingerprint_tracks_the_schedule(self, tmp_path, schedule):
+        # The class cache ignores these knobs, but they decide which classes
+        # a report contains: a truncated audit must not stand in for a full
+        # one, nor a first-failure audit for a check-all one.
+        base = {"verilog": SMALL_SOURCE, "top": "widget"}
+        scheduled = dict(base, config=schedule)
+        fp_base = prepare_submission(base, str(tmp_path), True)[3]
+        fp_scheduled = prepare_submission(scheduled, str(tmp_path), True)[3]
+        assert fp_base != fp_scheduled
 
     def test_unknown_benchmark_raises_design_error(self, tmp_path):
         with pytest.raises(DesignError, match="unknown benchmark"):
@@ -538,6 +548,18 @@ class TestServeHTTP:
         stats = client.stats()
         assert stats["counters"]["deduplicated"] == 1
         assert stats["counters"]["completed"] == solver_calls_before  # no re-run
+
+    def test_full_audit_is_not_served_a_truncated_report(self, client):
+        truncated = client.submit(
+            {"verilog": SMALL_SOURCE, "top": "widget", "config": {"max_class": 1}}
+        )
+        client.wait(truncated["job"]["id"], timeout=60.0)
+        assert client.report(truncated["job"]["id"]).verdict.value == "uncovered-signals"
+
+        full = client.submit({"verilog": SMALL_SOURCE, "top": "widget"})
+        assert not full["deduplicated"]
+        client.wait(full["job"]["id"], timeout=60.0)
+        assert client.report(full["job"]["id"]).is_secure
 
     def test_terminal_job_replays_event_stream(self, client):
         handle = client.submit({"verilog": SMALL_SOURCE, "top": "widget"})

@@ -20,10 +20,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import PythonCdclBackend, SatSolver
+from repro.sat import SatSolver
 from repro.sat.solver import GLUE_LBD
 
-from test_sat_backends import brute_force_satisfiable, pigeonhole_clauses
+from test_sat import brute_force_satisfiable, pigeonhole_clauses
 
 
 def _random_clauses(rng, num_vars, num_clauses, max_width=3):
@@ -82,14 +82,14 @@ class TestLearnedClauseManagement:
         assert result.restarts >= 1
         assert solver.total_restarts == result.restarts
 
-    def test_backend_exposes_the_search_counters(self):
-        backend = PythonCdclBackend(reduce_base=20, reduce_increment=5)
+    def test_solver_exposes_the_search_counters(self):
+        solver = SatSolver(reduce_base=20, reduce_increment=5)
         for clause in pigeonhole_clauses(5):
-            backend.add_clause(clause)
-        assert not backend.solve().satisfiable
-        assert backend.total_restarts >= 1
-        assert backend.total_learned_clauses > 0
-        assert backend.total_deleted_clauses > 0
+            solver.add_clause(clause)
+        assert not solver.solve().satisfiable
+        assert solver.total_restarts >= 1
+        assert solver.total_learned_clauses > 0
+        assert solver.total_deleted_clauses > 0
 
 
 class TestStableClauseHandles:
