@@ -50,8 +50,14 @@ class AIG:
         return node << 1
 
     def and_(self, a: int, b: int) -> int:
-        """Return a literal for ``a AND b`` with two-level simplification."""
-        if a == FALSE or b == FALSE or a == negate(b):
+        """Return a literal for ``a AND b`` with two-level simplification.
+
+        The only node constructor: the gates below call it once per
+        two-input AND, so node numbers follow the order of these calls.
+        They write ``negate`` as ``^ 1``: this kernel is the hottest
+        Python code of a cold audit.
+        """
+        if a == FALSE or b == FALSE or a == b ^ 1:
             return FALSE
         if a == TRUE:
             return b
@@ -62,23 +68,25 @@ class AIG:
         key = (a, b)
         node = self._strash.get(key)
         if node is None:
-            node = len(self._nodes)
-            self._nodes.append(key)
+            nodes = self._nodes
+            node = len(nodes)
+            nodes.append(key)
             self._strash[key] = node
         return node << 1
 
     def not_(self, a: int) -> int:
-        return negate(a)
+        return a ^ 1
 
     def or_(self, a: int, b: int) -> int:
-        return negate(self.and_(negate(a), negate(b)))
+        return self.and_(a ^ 1, b ^ 1) ^ 1
 
     def xor(self, a: int, b: int) -> int:
         # (a AND NOT b) OR (NOT a AND b)
-        return self.or_(self.and_(a, negate(b)), self.and_(negate(a), b))
+        and_ = self.and_
+        return and_(and_(a, b ^ 1) ^ 1, and_(a ^ 1, b) ^ 1) ^ 1
 
     def xnor(self, a: int, b: int) -> int:
-        return negate(self.xor(a, b))
+        return self.xor(a, b) ^ 1
 
     def mux(self, select: int, then: int, otherwise: int) -> int:
         """``select ? then : otherwise``"""
@@ -88,20 +96,23 @@ class AIG:
             return otherwise
         if then == otherwise:
             return then
-        return self.or_(self.and_(select, then), self.and_(negate(select), otherwise))
+        and_ = self.and_
+        return and_(and_(select, then) ^ 1, and_(select ^ 1, otherwise) ^ 1) ^ 1
 
     def and_many(self, literals: Iterable[int]) -> int:
+        and_ = self.and_
         result = TRUE
         for literal in literals:
-            result = self.and_(result, literal)
+            result = and_(result, literal)
             if result == FALSE:
                 return FALSE
         return result
 
     def or_many(self, literals: Iterable[int]) -> int:
+        and_ = self.and_
         result = FALSE
         for literal in literals:
-            result = self.or_(result, literal)
+            result = and_(result ^ 1, literal ^ 1) ^ 1
             if result == TRUE:
                 return TRUE
         return result
@@ -149,47 +160,43 @@ class AIG:
 
     def cone_nodes(self, roots: Iterable[int]) -> List[int]:
         """All nodes in the transitive fanin cone of the root literals, topologically sorted."""
-        seen = set()
+        nodes = self._nodes
+        seen = {0}
         order: List[int] = []
-        # Iterative DFS with explicit post-ordering.
-        visit_stack: List[Tuple[int, bool]] = [
-            (self.node_of(literal), False) for literal in roots
-        ]
-        while visit_stack:
-            node, processed = visit_stack.pop()
-            if processed:
-                order.append(node)
+        # Iterative DFS with explicit post-ordering: a node index schedules a
+        # visit, its complement ``~node`` (always negative) its post-visit.
+        stack = [literal >> 1 for literal in roots]
+        while stack:
+            node = stack.pop()
+            if node < 0:
+                order.append(~node)
                 continue
-            if node in seen or node == 0:
+            if node in seen:
                 continue
             seen.add(node)
-            visit_stack.append((node, True))
-            children = self._nodes[node]
+            stack.append(~node)
+            children = nodes[node]
             if children is not None:
                 left, right = children
-                visit_stack.append((self.node_of(left), False))
-                visit_stack.append((self.node_of(right), False))
+                stack.append(left >> 1)
+                stack.append(right >> 1)
         return order
 
     def evaluate(self, roots: Iterable[int], input_values: Dict[int, int]) -> List[int]:
         """Evaluate root literals under an assignment of input *nodes* to 0/1."""
         roots = list(roots)
+        nodes = self._nodes
         values: Dict[int, int] = {0: 0}
         for node in self.cone_nodes(roots):
-            children = self._nodes[node]
+            children = nodes[node]
             if children is None:
                 values[node] = input_values.get(node, 0) & 1
             else:
                 left, right = children
-                left_value = values[self.node_of(left)] ^ (left & 1)
-                right_value = values[self.node_of(right)] ^ (right & 1)
-                values[node] = left_value & right_value
-        results = []
-        for literal in roots:
-            node = self.node_of(literal)
-            value = values.get(node, 0)
-            results.append(value ^ (literal & 1))
-        return results
+                values[node] = (values[left >> 1] ^ (left & 1)) & (
+                    values[right >> 1] ^ (right & 1)
+                )
+        return [values.get(literal >> 1, 0) ^ (literal & 1) for literal in roots]
 
     def evaluate_word_values(
         self,

@@ -7,7 +7,7 @@ mapping signal names to vectors, producing a vector for the root expression.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aig.aig import AIG, FALSE, TRUE, negate
 from repro.errors import BitblastError
@@ -21,6 +21,8 @@ class BitBlaster:
 
     def __init__(self, aig: AIG) -> None:
         self._aig = aig
+        # Lowered ROMs by (table, width, index literals); see _blast_lut.
+        self._luts: Dict[Tuple[Tuple[int, ...], int, Tuple[int, ...]], Tuple[int, ...]] = {}
 
     @property
     def aig(self) -> AIG:
@@ -84,6 +86,12 @@ class BitBlaster:
         All output bits reuse the same minterm literals, which keeps a
         256-entry, 8-bit-wide table (an AES S-box) at roughly 1.5k AIG nodes
         instead of the ~10k a naive multiplexer chain would create.
+
+        A table already lowered over the same index literals is not rebuilt:
+        the rebuild would reach the stored literals through structural
+        hashing anyway, creating no node.  The memo only skips those
+        ``and_`` calls — in the 2-safety miter, instance 1's S-boxes over
+        leaves merged into instance 0's are all such repeats.
         """
         index = self._blast(expr.index, env)
         table = expr.table
@@ -91,16 +99,19 @@ class BitBlaster:
         if constant_index is not None:
             value = table[constant_index] if constant_index < len(table) else 0
             return self.constant(value, expr.width)
+        key = (table, expr.width, tuple(index))
+        lowered = self._luts.get(key)
+        if lowered is not None:
+            return list(lowered)
+        and_ = self._aig.and_
         # minterms[i] is true iff the index equals i.
         minterms: List[int] = [TRUE]
         for bit in index:
-            expanded: List[int] = []
-            for term in minterms:
-                expanded.append(self._aig.and_(term, negate(bit)))
-            for term in minterms:
-                expanded.append(self._aig.and_(term, bit))
-            # Keep LSB-first ordering: entry i of `expanded` corresponds to the
-            # index value whose processed low bits equal i.
+            low = bit ^ 1
+            # Keep LSB-first ordering: entry i of the expansion corresponds to
+            # the index value whose processed low bits equal i.
+            expanded = [and_(term, low) for term in minterms]
+            expanded.extend([and_(term, bit) for term in minterms])
             minterms = expanded
         result: Vector = []
         for bit_position in range(expr.width):
@@ -110,6 +121,7 @@ class BitBlaster:
                 if (table[i] >> bit_position) & 1
             ]
             result.append(self._aig.or_many(selected))
+        self._luts[key] = tuple(result)
         return result
 
     # -- unary ---------------------------------------------------------- #

@@ -282,15 +282,23 @@ class SequentialUnroller:
     # Checking
     # ------------------------------------------------------------------ #
 
-    def check_output(self, name: str, depth: int) -> SequentialCheckResult:
+    def check_output(
+        self, name: str, depth: int, deadline_s: Optional[float] = None
+    ) -> SequentialCheckResult:
         """Bounded divergence check of one common output (one property class)."""
-        return self.check_outputs([name], depth)
+        return self.check_outputs([name], depth, deadline_s=deadline_s)
 
     def check_outputs(
-        self, names: Sequence[str], depth: int
+        self, names: Sequence[str], depth: int, deadline_s: Optional[float] = None
     ) -> SequentialCheckResult:
         """Search for an input sequence of length ``depth`` that separates the
-        design from the golden model on any output in ``names``."""
+        design from the golden model on any output in ``names``.
+
+        ``deadline_s`` budgets the CDCL call in wall-clock terms (absolute
+        ``time.monotonic()`` deadline): past it the solver raises
+        :class:`repro.errors.CheckDeadlineExceeded` with the persistent
+        context backtracked and reusable.
+        """
         started = _time.perf_counter()
         if depth < 1:
             raise ConfigError(f"sequential checks need a depth >= 1, got {depth}")
@@ -337,7 +345,7 @@ class SequentialUnroller:
                 return result
 
         goal = self._context.literal_of(goal_root)
-        outcome = self._context.solve([goal])
+        outcome = self._context.solve([goal], deadline_s=deadline_s)
         result.solver_calls = 1
         result.sat_conflicts = outcome.result.conflicts
         result.sat_decisions = outcome.result.decisions

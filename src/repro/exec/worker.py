@@ -372,11 +372,11 @@ class DesignWorkContext:
         """
         output = self.sequential_outputs[k]
         depth = self._config.depth
-        # The unroller's search is not polled mid-call, so the deadline is
-        # enforced at the call boundary.
+        # A deadline already past skips the unroll; otherwise the solver
+        # polls it inside the SAT call.
         if deadline_s is not None and _time.monotonic() >= deadline_s:
             raise CheckDeadlineExceeded("check deadline exceeded")
-        check = self.unroller.check_output(output, depth)
+        check = self.unroller.check_output(output, depth, deadline_s=deadline_s)
         result = PropertyCheckResult(
             prop=IntervalProperty(
                 name=f"sequential_equivalence[{output}]",

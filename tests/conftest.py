@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.aig.aig import AIG
 from repro.rtl import elaborate_source
 
 
@@ -110,3 +111,26 @@ module top(input clk, input rst, input en, output [15:0] count, output wrapped);
 endmodule
 """
     return elaborate_source(COUNTER_SOURCE + top, "top")
+
+
+@pytest.fixture
+def aig_work(monkeypatch):
+    """Counts, for one test, ``AIG.and_`` calls and the nodes they and ``add_input`` create."""
+    counts = {"and_calls": 0, "and_nodes": 0, "inputs": 0}
+    original_and = AIG.and_
+    original_input = AIG.add_input
+
+    def counting_and(self, a, b):
+        before = self.num_nodes
+        literal = original_and(self, a, b)
+        counts["and_calls"] += 1
+        counts["and_nodes"] += self.num_nodes - before
+        return literal
+
+    def counting_input(self, name=None):
+        counts["inputs"] += 1
+        return original_input(self, name)
+
+    monkeypatch.setattr(AIG, "and_", counting_and)
+    monkeypatch.setattr(AIG, "add_input", counting_input)
+    return counts

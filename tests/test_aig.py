@@ -183,3 +183,116 @@ class TestNodeCounting:
         aig.and_(a, b)
         assert aig.num_and_nodes == 1
         assert aig.num_nodes == 4  # constant + 2 inputs + 1 AND
+
+
+# ---------------------------------------------------------------------- #
+# Kernel equivalence: the gates build what their compositions build
+# ---------------------------------------------------------------------- #
+
+
+class _ReferenceGates:
+    """The composite gates as plain compositions of ``and_`` and ``negate``."""
+
+    def __init__(self, aig):
+        self.aig = aig
+
+    def and_(self, a, b):
+        return self.aig.and_(a, b)
+
+    def or_(self, a, b):
+        return negate(self.aig.and_(negate(a), negate(b)))
+
+    def xor(self, a, b):
+        return self.or_(self.aig.and_(a, negate(b)), self.aig.and_(negate(a), b))
+
+    def xnor(self, a, b):
+        return negate(self.xor(a, b))
+
+    def mux(self, select, then, otherwise):
+        if select == TRUE:
+            return then
+        if select == FALSE:
+            return otherwise
+        if then == otherwise:
+            return then
+        return self.or_(self.aig.and_(select, then), self.aig.and_(negate(select), otherwise))
+
+    def and_many(self, literals):
+        result = TRUE
+        for literal in literals:
+            result = self.aig.and_(result, literal)
+            if result == FALSE:
+                return FALSE
+        return result
+
+    def or_many(self, literals):
+        result = FALSE
+        for literal in literals:
+            result = self.or_(result, literal)
+            if result == TRUE:
+                return TRUE
+        return result
+
+
+def _reference_cone(aig, roots):
+    """Recursive post-order DFS: right fanin first, last root first."""
+    seen = set()
+    order = []
+
+    def visit(node):
+        if node == 0 or node in seen:
+            return
+        seen.add(node)
+        if aig.is_and(node):
+            left, right = aig.fanins(node)
+            visit(right >> 1)
+            visit(left >> 1)
+        order.append(node)
+
+    for literal in reversed(roots):
+        visit(literal >> 1)
+    return order
+
+
+_BINARY_GATES = ("and_", "or_", "xor", "xnor")
+_OPERAND = st.tuples(st.integers(min_value=0, max_value=63), st.booleans())
+_GATE_STEP = st.one_of(
+    st.tuples(st.sampled_from(_BINARY_GATES), st.lists(_OPERAND, min_size=2, max_size=2)),
+    st.tuples(st.just("mux"), st.lists(_OPERAND, min_size=3, max_size=3)),
+    st.tuples(st.sampled_from(("and_many", "or_many")), st.lists(_OPERAND, max_size=5)),
+)
+
+
+def _replay(aig, gates, num_inputs, steps):
+    """Apply ``steps`` through ``gates`` on ``aig``; every result joins the operand pool."""
+    pool = [FALSE, TRUE] + [aig.add_input(f"i{k}") for k in range(num_inputs)]
+    results = []
+    for gate, operands in steps:
+        literals = [pool[index % len(pool)] ^ flip for index, flip in operands]
+        if gate in ("and_many", "or_many"):
+            result = getattr(gates, gate)(literals)
+        else:
+            result = getattr(gates, gate)(*literals)
+        pool.append(result)
+        results.append(result)
+    return results
+
+
+class TestKernelEquivalence:
+    @given(
+        num_inputs=st.integers(min_value=1, max_value=5),
+        steps=st.lists(_GATE_STEP, min_size=1, max_size=40),
+        root_picks=st.lists(st.integers(min_value=0, max_value=63), max_size=6),
+    )
+    def test_gates_build_the_reference_nodes_in_order(self, num_inputs, steps, root_picks):
+        aig, reference = AIG(), AIG()
+        results = _replay(aig, aig, num_inputs, steps)
+        assert results == _replay(reference, _ReferenceGates(reference), num_inputs, steps)
+        assert aig.num_nodes == reference.num_nodes
+        for node in range(1, aig.num_nodes):
+            assert aig.is_and(node) == reference.is_and(node)
+            if aig.is_and(node):
+                assert aig.fanins(node) == reference.fanins(node)
+        roots = [results[pick % len(results)] for pick in root_picks]
+        assert aig.cone_nodes(roots) == _reference_cone(aig, roots)
+        assert aig.cone_nodes(results) == _reference_cone(aig, results)

@@ -113,6 +113,20 @@ class TestOperators:
         check(expr, {"a": 8, "b": 4}, {"a": a, "b": b})
 
 
+_TABLE = tuple((i * 7 + 3) & 0xFF for i in range(16))
+
+
+def _lut(table=_TABLE, width=8, index="i"):
+    return exprs.Lut(width=width, index=exprs.ref(index, 4), table=table)
+
+
+def _assert_lowers_to(aig, vector, index_vector, table, width):
+    assert len(vector) == width
+    for value in range(16):
+        inputs = {literal >> 1: bit for literal, bit in zip(index_vector, to_bits(value, 4))}
+        assert from_bits(aig.evaluate(vector, inputs)) == table[value] & ((1 << width) - 1)
+
+
 class TestLut:
     def test_lut_matches_table(self):
         table = tuple((i * 7 + 3) & 0xFF for i in range(16))
@@ -144,6 +158,67 @@ class TestLut:
         expr = exprs.Lut(width=8, index=exprs.ref("a", 8), table=SBOX)
         for value in (0x00, 0x01, 0x53, 0x7F, 0x80, 0xAA, 0xFF):
             assert blast_and_eval(expr, {"a": 8}, {"a": value}) == SBOX[value]
+
+    # A ROM lowered once over an index vector is never rebuilt on that AIG.
+    def test_repeat_over_the_same_index_makes_no_and_call(self, aig_work):
+        aig = AIG()
+        blaster = BitBlaster(aig)
+        env = {"i": blaster.fresh_vector("i", 4)}
+        first = blaster.blast(_lut(), env)
+        calls, nodes = aig_work["and_calls"], aig.num_nodes
+        assert calls > 0
+        second = blaster.blast(_lut(), env)
+        assert aig_work["and_calls"] == calls
+        assert aig.num_nodes == nodes
+        assert second == first
+        second[0] = -1  # a hit hands out a copy, never the stored literals
+        assert blaster.blast(_lut(), env) == first
+
+    def test_another_index_vector_is_lowered_afresh(self, aig_work):
+        aig = AIG()
+        blaster = BitBlaster(aig)
+        env = {"i": blaster.fresh_vector("i", 4), "j": blaster.fresh_vector("j", 4)}
+        blaster.blast(_lut(), env)
+        calls, nodes = aig_work["and_calls"], aig.num_nodes
+        vector = blaster.blast(_lut(index="j"), env)
+        assert aig_work["and_calls"] > calls
+        assert aig.num_nodes > nodes
+        _assert_lowers_to(aig, vector, env["j"], _TABLE, 8)
+
+    def test_another_table_is_lowered_afresh(self, aig_work):
+        aig = AIG()
+        blaster = BitBlaster(aig)
+        env = {"i": blaster.fresh_vector("i", 4)}
+        blaster.blast(_lut(), env)
+        calls = aig_work["and_calls"]
+        table = tuple(value ^ 0xA5 for value in _TABLE)
+        vector = blaster.blast(_lut(table=table), env)
+        assert aig_work["and_calls"] > calls
+        _assert_lowers_to(aig, vector, env["i"], table, 8)
+
+    def test_another_width_is_lowered_afresh(self, aig_work):
+        aig = AIG()
+        blaster = BitBlaster(aig)
+        env = {"i": blaster.fresh_vector("i", 4)}
+        blaster.blast(_lut(), env)
+        calls = aig_work["and_calls"]
+        vector = blaster.blast(_lut(width=4), env)
+        assert aig_work["and_calls"] > calls
+        _assert_lowers_to(aig, vector, env["i"], _TABLE, 4)
+
+    def test_a_new_blaster_on_a_new_aig_shares_nothing(self, aig_work):
+        first_aig = AIG()
+        first = BitBlaster(first_aig)
+        first.blast(_lut(), {"i": first.fresh_vector("i", 4)})
+        calls = aig_work["and_calls"]
+        aig = AIG()
+        blaster = BitBlaster(aig)
+        env = {"i": blaster.fresh_vector("i", 4)}
+        vector = blaster.blast(_lut(), env)
+        # Built from scratch: the same work and the same graph as the first.
+        assert aig_work["and_calls"] == 2 * calls
+        assert aig.num_nodes == first_aig.num_nodes
+        _assert_lowers_to(aig, vector, env["i"], _TABLE, 8)
 
 
 class TestStructuralSharing:

@@ -55,6 +55,23 @@ module widget(input clk, input [7:0] d, output [7:0] q);
 endmodule
 """
 
+# The sequential mode's golden model of STALL_SOURCE: ``pad`` takes ``d``
+# directly, so the bounded equivalence check must prove the same identity
+# with a real SAT call.
+STALL_GOLDEN_SOURCE = """
+module widget_golden(input clk, input [7:0] d, output [7:0] q);
+  reg [7:0] s1;
+  reg [7:0] s2;
+  reg [7:0] pad;
+  always @(posedge clk) begin
+    s1 <= d ^ 8'h5a;
+    pad <= d;
+    s2 <= s1 + pad;
+  end
+  assign q = s2;
+endmodule
+"""
+
 
 @pytest.fixture(autouse=True)
 def _pristine_fault_plan(monkeypatch):
@@ -68,6 +85,15 @@ def _pristine_fault_plan(monkeypatch):
 def _run(source=CLEAN_SOURCE, **overrides):
     design = Design.from_source(source, top="widget")
     return DetectionSession(design, config=DetectionConfig(**overrides)).run()
+
+
+def _run_sequential(**overrides):
+    design = Design.from_source(
+        STALL_SOURCE, top="widget", golden_top="widget_golden",
+        golden_source=STALL_GOLDEN_SOURCE,
+    )
+    config = DetectionConfig(mode="sequential", depth=3, simplify=False, **overrides)
+    return DetectionSession(design, config=config).run()
 
 
 # ---------------------------------------------------------------------- #
@@ -255,6 +281,29 @@ class TestCheckDeadline:
         )
         assert second.verdict is Verdict.SECURE
         assert all(outcome.status == "ok" for outcome in second.outcomes)
+
+    def test_stalled_sequential_check_degrades_to_timeout_outcome(self):
+        # The deadline reaches the unroller's SAT call, not only the call
+        # boundary before it.
+        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
+        report = _run_sequential(check_timeout_s=1.0)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        [timed_out] = report.outcomes
+        assert timed_out.kind == "sequential"
+        assert timed_out.status == "timeout"
+        assert timed_out.holds  # fail-closed, never a detection
+        assert "timeout" in report.summary()
+
+    def test_sequential_timeout_outcomes_are_never_cached(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
+        first = _run_sequential(check_timeout_s=1.0, cache_dir=cache_dir)
+        assert first.verdict is Verdict.INCONCLUSIVE
+        faults.set_plan(FaultPlan())
+        second = _run_sequential(check_timeout_s=1.0, cache_dir=cache_dir)
+        assert second.verdict is Verdict.SECURE
+        assert second.outcomes[0].status == "ok"
+        assert second.outcomes[0].result.solver_calls == 1
 
 
 # ---------------------------------------------------------------------- #
