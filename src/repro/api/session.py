@@ -170,7 +170,7 @@ class DetectionSession:
         return self._report
 
     # Sessions are usable as context managers for symmetry with other
-    # lifecycle-owning APIs; there is no external state to release today.
+    # lifecycle-owning APIs; there is no external state to free today.
     def __enter__(self) -> "DetectionSession":
         return self
 

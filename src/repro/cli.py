@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--queue-dir", default=".repro-serve", metavar="DIR",
-        help="persistent job queue directory (default: .repro-serve); the "
-             "daemon replays incomplete journaled jobs from here on startup",
+        help="persistent job queue directory (default: .repro-serve), held "
+             "by one daemon at a time; the daemon replays incomplete "
+             "journaled jobs from here on startup",
     )
     serve_parser.add_argument(
         "--cache-dir", metavar="DIR",
@@ -345,17 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--token-quota", action="append", default=[], metavar="TOKEN=N",
         help="override the quota for one client token (repeatable)",
-    )
-    serve_parser.add_argument(
-        "--lease", type=float, default=None, metavar="SECONDS",
-        help="job lease duration when several daemons share one --queue-dir; "
-             "a running job whose lease expires is re-queued by a surviving "
-             "daemon (default: 30)",
-    )
-    serve_parser.add_argument(
-        "--owner", default=None, metavar="ID",
-        help="stable daemon identity stamped on leases and journals "
-             "(default: a per-process random id)",
     )
 
     submit_parser = subparsers.add_parser(
@@ -764,7 +754,6 @@ def _parse_token_quotas(items: List[str]) -> dict:
 
 def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.serve import AuditServer
-    from repro.serve.queue import DEFAULT_LEASE_S
 
     server = AuditServer(
         host=args.host,
@@ -775,8 +764,6 @@ def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         use_cache=not args.no_cache,
         default_quota=args.quota,
         quotas=_parse_token_quotas(args.token_quota),
-        owner=args.owner,
-        lease_s=args.lease if args.lease is not None else DEFAULT_LEASE_S,
     )
     server.start()
     recovered = server.queue.recovered_jobs

@@ -168,7 +168,7 @@ class Executor(ABC):
 
     @abstractmethod
     def close(self) -> None:
-        """Release workers and per-design state; idempotent."""
+        """Shut down workers and drop per-design state; idempotent."""
 
     def __enter__(self) -> "Executor":
         return self

@@ -5,7 +5,8 @@ submit designs to ``POST /v1/audits``, a persistent journaled job queue
 feeds a worker pool that runs audits through the existing
 scheduler/executor with one shared warm result cache, and clients stream
 the typed run events live over Server-Sent Events or fetch the finished
-schema-v5 report.  Start it from the command line::
+report (schema ``repro.core.report.SCHEMA_VERSION``).  Start it from the
+command line::
 
     repro serve --port 8321 --jobs 4 --queue-dir ./audit-queue
 

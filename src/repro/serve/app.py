@@ -19,7 +19,7 @@ Endpoints (all JSON unless noted)::
     GET  /v1/audits               list jobs
     GET  /v1/audits/<id>          one job
     GET  /v1/audits/<id>/events   live Server-Sent-Events stream of run events
-    GET  /v1/audits/<id>/report   the finished schema-v5 detection report
+    GET  /v1/audits/<id>/report   the finished report (schema SCHEMA_VERSION)
     GET  /metrics                 Prometheus text exposition (queue, cache,
                                   solver and job counters; not JSON)
 
@@ -58,7 +58,7 @@ from repro.serve.protocol import (
     prepare_submission,
     submission_from_dict,
 )
-from repro.serve.queue import DEFAULT_LEASE_S, JobQueue
+from repro.serve.queue import JobQueue
 
 logger = logging.getLogger("repro.serve")
 
@@ -117,28 +117,21 @@ class AuditServer:
         default_quota: int = 0,
         quotas: Optional[Dict[str, int]] = None,
         max_body_bytes: int = MAX_BODY_BYTES,
-        owner: Optional[str] = None,
-        lease_s: float = DEFAULT_LEASE_S,
     ) -> None:
         """``jobs`` is the worker-thread count; ``0`` accepts jobs without
         running them (journal-only mode, for handover/testing).  The result
-        cache defaults to ``<queue_dir>/cache``.  ``owner``/``lease_s``
-        name this daemon on lease files and set the claim lease duration —
-        several daemons pointed at one ``queue_dir`` share the work, each
-        job running exactly once."""
+        cache defaults to ``<queue_dir>/cache``.  Raises
+        :class:`ReproError` on a negative ``jobs`` or quota, or when another
+        daemon holds ``queue_dir``."""
+        if jobs < 0:
+            raise ReproError(f"jobs must be 0 (accept only) or positive, got {jobs}")
         self._host = host
         self._requested_port = port
-        self._jobs = max(0, jobs)
+        self._jobs = jobs
         self._use_cache = use_cache
         self._cache_dir = cache_dir or os.path.join(queue_dir, "cache")
         self._max_body_bytes = max_body_bytes
-        self.queue = JobQueue(
-            queue_dir,
-            default_quota=default_quota,
-            quotas=quotas,
-            owner=owner,
-            lease_s=lease_s,
-        )
+        self.queue = JobQueue(queue_dir, default_quota=default_quota, quotas=quotas)
         self.cache: Optional[ResultCache] = (
             ResultCache(self._cache_dir) if use_cache else None
         )
@@ -146,18 +139,11 @@ class AuditServer:
         self._runtimes_lock = threading.Lock()
         self._counters = {"submitted": 0, "deduplicated": 0, "completed": 0, "failed": 0}
         self._counters_lock = threading.Lock()
-        #: Jobs this daemon is executing right now (lease heartbeats).
-        self._active_jobs: set = set()
-        self._active_lock = threading.Lock()
-        #: Last queue counter values already folded into the metrics, so the
-        #: maintenance loop can export monotonic deltas.
-        self._queue_counter_base = {"corrupt_journals": 0, "leases_expired": 0}
         self.metrics = MetricsRegistry()
         self._register_metrics()
-        self._reconcile_queue_counters()
+        self.metrics.inc("repro_journal_corrupt_total", self.queue.corrupt_journals)
         self._stopping = threading.Event()
         self._workers: List[threading.Thread] = []
-        self._maintenance_thread: Optional[threading.Thread] = None
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
 
@@ -198,25 +184,9 @@ class AuditServer:
             "Tasks re-queued after a worker loss across served audits",
         )
         metrics.counter(
-            "repro_leases_expired_total",
-            "Job leases this daemon reaped or stole after expiry",
-        )
-        metrics.counter(
             "repro_journal_corrupt_total",
             "Corrupt or unreadable job journals skipped (counted, never silent)",
         )
-
-    def _reconcile_queue_counters(self) -> None:
-        """Export the queue's fault counters as monotonic metric deltas."""
-        for attr, metric in (
-            ("corrupt_journals", "repro_journal_corrupt_total"),
-            ("leases_expired", "repro_leases_expired_total"),
-        ):
-            current = int(getattr(self.queue, attr))
-            delta = current - self._queue_counter_base[attr]
-            if delta > 0:
-                self.metrics.inc(metric, delta)
-                self._queue_counter_base[attr] = current
 
     # ------------------------------------------------------------------ #
     # life cycle
@@ -247,10 +217,6 @@ class AuditServer:
             )
             worker.start()
             self._workers.append(worker)
-        self._maintenance_thread = threading.Thread(
-            target=self._maintenance_loop, name="repro-serve-maintenance", daemon=True
-        )
-        self._maintenance_thread.start()
         logger.info(
             "serving on %s (%d worker(s), %d job(s) recovered from journal)",
             self.url,
@@ -260,16 +226,16 @@ class AuditServer:
 
     def stop(self) -> None:
         self._stopping.set()
-        self.queue.close()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
         for worker in self._workers:
             worker.join(timeout=10.0)
-        if self._maintenance_thread is not None:
-            self._maintenance_thread.join(timeout=10.0)
         if self._http_thread is not None:
             self._http_thread.join(timeout=10.0)
+        # Last, so in-flight audits journal their verdicts while this
+        # daemon still holds the queue directory.
+        self.queue.close()
 
     def serve_forever(self) -> None:
         """:meth:`start` + block until interrupted (the CLI entry point)."""
@@ -316,37 +282,8 @@ class AuditServer:
             except Exception:  # pragma: no cover - defensive backstop
                 logger.exception("worker crashed on job %s", job.id)
 
-    def _maintenance_loop(self) -> None:
-        """Heartbeat + reaper: renew our leases, adopt orphaned jobs.
-
-        Runs every ``lease_s / 3`` seconds so a healthy daemon renews each
-        lease twice before it can expire, while a crashed peer's jobs are
-        re-queued at most one lease period after the crash.
-        """
-        interval = max(0.2, self.queue.lease_s / 3.0)
-        while not self._stopping.wait(timeout=interval):
-            with self._active_lock:
-                active = list(self._active_jobs)
-            for job_id in active:
-                try:
-                    if not self.queue.renew_lease(job_id):
-                        logger.warning(
-                            "lost the lease on job %s (reaped by a peer daemon); "
-                            "its result here will be discarded",
-                            job_id,
-                        )
-                except OSError:
-                    logger.warning("lease renewal failed for job %s", job_id, exc_info=True)
-            try:
-                self.queue.reap_expired()
-            except OSError:  # pragma: no cover - defensive (shared-fs hiccup)
-                logger.warning("lease reap pass failed", exc_info=True)
-            self._reconcile_queue_counters()
-
     def _run_audit(self, job) -> None:
         runtime = self._runtime_for(job.id)
-        with self._active_lock:
-            self._active_jobs.add(job.id)
         events: List[Dict[str, Any]] = []
         if job.started_s is not None and job.created_s:
             self.metrics.observe(
@@ -400,8 +337,6 @@ class AuditServer:
             self.queue.fail(job.id, f"{type(error).__name__}: {error}", events)
             logger.exception("job %s failed", job.id)
         finally:
-            with self._active_lock:
-                self._active_jobs.discard(job.id)
             # The runtime stays registered: late-attaching streamers of a
             # finished job replay the journal, but one that raced the
             # completion still needs the finished flag to terminate.
@@ -578,7 +513,15 @@ def _make_handler(server: AuditServer):
         # -------------------------------------------------------------- #
 
         def _post_audit(self) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._send_error_json(
+                    400, "Content-Length must be a non-negative integer"
+                )
+                return
             if length > server._max_body_bytes:
                 self._send_error_json(
                     413, f"submission body exceeds {server._max_body_bytes} bytes"

@@ -259,17 +259,9 @@ class Job:
     error: Optional[str] = None
     #: How many client submissions attached to this job (1 + dedup hits).
     submissions: int = 1
-    #: How many times this job was re-queued after its worker went away —
-    #: daemon restarts replaying the journal plus lease expiries reaped by
-    #: a surviving daemon.
+    #: How many times a restarted daemon re-queued this job after the
+    #: previous daemon stopped or died mid-audit.
     restarts: int = 0
-    #: Identity of the daemon currently running the job (None when queued
-    #: or terminal).  Informational — the lease *file* is what arbitrates
-    #: ownership between daemons sharing one queue directory.
-    owner: Optional[str] = None
-    #: Wall-clock time the current lease expires; a running job whose lease
-    #: has expired is presumed orphaned and may be re-queued by any daemon.
-    lease_expires_s: Optional[float] = None
 
     @property
     def terminal(self) -> bool:
@@ -291,8 +283,6 @@ class Job:
             "error": self.error,
             "submissions": self.submissions,
             "restarts": self.restarts,
-            "owner": self.owner,
-            "lease_expires_s": self.lease_expires_s,
         }
 
     @classmethod
@@ -316,8 +306,6 @@ class Job:
                 error=data.get("error"),
                 submissions=data.get("submissions", 1),
                 restarts=data.get("restarts", 0),
-                owner=data.get("owner"),
-                lease_expires_s=data.get("lease_expires_s"),
             )
         except ReproError:
             raise

@@ -10,34 +10,29 @@ Every job lives in one journal file, ``<root>/jobs/<id>.json``::
 Journal writes reuse the result cache's crash-safety discipline
 (:mod:`repro.exec.cache`): serialize to a temp file in the same directory,
 ``os.replace`` into place.  A reader therefore sees either the previous
-record or the new one, never a torn write — which is what makes restart
-recovery trivial: on startup :meth:`JobQueue.recover` walks the journal and
-re-queues every ``queued``/``running`` job (the daemon died mid-audit), while
-``done``/``failed`` jobs keep serving their stored events and reports.
+record or the new one, never a torn write.
+
+One queue owns its directory.  The constructor takes an exclusive
+``fcntl.flock`` on ``<root>/lock`` and holds it until :meth:`JobQueue.close`;
+the kernel drops it when the process dies, so a crash leaves no stale lock
+behind.  A second queue on a held directory raises :class:`ReproError`.
+Holding the lock proves that no other daemon is alive, which makes restart
+recovery trivial: the constructor walks the journal and re-queues every
+``queued``/``running`` job (a ``running`` one was interrupted mid-audit, so
+its ``restarts`` goes up by one), while ``done``/``failed`` jobs keep serving
+their stored events and reports.
 
 The in-memory side is a priority heap ordered by ``(-priority, seq)`` —
 higher client priority first, FIFO within a priority — guarded by one lock
-and a condition variable that :meth:`claim` blocks on.  Deduplication is a
-fingerprint index consulted *before* enqueue: a submission whose fingerprint
-matches a live (non-failed) job attaches to it instead of creating work.
-
-Multiple daemons may serve one queue directory.  Execution is arbitrated by
-*lease files* (``<root>/leases/<id>.lease``), never by the in-memory state:
-
-* claiming a job atomically materializes its lease via ``os.link`` (an
-  exclusive create that makes the owner + expiry visible in one step — no
-  reader ever sees a half-written lease);
-* the owner renews the lease while the audit runs (:meth:`renew_lease`);
-* an *expired* lease is stolen with ``os.rename`` — the rename succeeds for
-  exactly one process, so concurrent reapers (or claimants) of the same
-  orphaned job cannot double-run it;
-* :meth:`reap_expired` re-syncs from the shared journal, re-queues every
-  running job whose lease expired (``restarts += 1``), and is the one path
-  by which a surviving daemon adopts a crashed peer's work.
+and a condition variable that :meth:`JobQueue.claim` blocks on.
+Deduplication is a fingerprint index consulted *before* enqueue: a
+submission whose fingerprint matches a live (non-failed) job attaches to it
+instead of creating work.
 """
 
 from __future__ import annotations
 
+import fcntl
 import heapq
 import json
 import logging
@@ -58,40 +53,43 @@ from repro.serve.protocol import (
 
 logger = logging.getLogger("repro.serve.queue")
 
-#: Default lease duration.  Must be comfortably larger than the owner's
-#: heartbeat interval (the daemon renews about every ``lease_s / 3``
-#: seconds), so one missed heartbeat never orphans a healthy job.
-DEFAULT_LEASE_S = 30.0
-
-
 class JobQueue:
-    """Journaled job store + priority queue (thread-safe, multi-reader)."""
+    """Journaled job store + priority queue (thread-safe, one per directory)."""
 
     def __init__(
         self,
         root: str,
         default_quota: int = 0,
         quotas: Optional[Dict[str, int]] = None,
-        owner: Optional[str] = None,
-        lease_s: float = DEFAULT_LEASE_S,
     ) -> None:
         """``root`` is the queue directory (created on demand).
 
         ``default_quota`` caps how many *incomplete* (queued or running)
         jobs one client token may hold at once; ``0`` means unlimited.
-        ``quotas`` overrides the cap per token.  ``owner`` names this
-        queue instance on lease files (defaults to a pid-qualified unique
-        id); ``lease_s`` is how long a claim stays valid without renewal.
+        ``quotas`` overrides the cap per token.  Raises
+        :class:`ReproError` on a negative quota, or when another live queue
+        holds ``root``.
         """
-        self._root = root
-        self._jobs_dir = os.path.join(root, "jobs")
-        self._leases_dir = os.path.join(root, "leases")
-        os.makedirs(self._jobs_dir, exist_ok=True)
-        os.makedirs(self._leases_dir, exist_ok=True)
-        self._default_quota = default_quota
         self._quotas = dict(quotas or {})
-        self._owner = owner or f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        self._lease_s = float(lease_s)
+        for token, quota in [(None, default_quota), *self._quotas.items()]:
+            if quota < 0:
+                scope = "default" if token is None else f"token {token!r}"
+                raise ReproError(
+                    f"the {scope} quota must be 0 (unlimited) or positive, got {quota}"
+                )
+        self._default_quota = default_quota
+        self._jobs_dir = os.path.join(root, "jobs")
+        os.makedirs(self._jobs_dir, exist_ok=True)
+        lock_path = os.path.join(root, "lock")
+        self._lock_file = open(lock_path, "ab")
+        try:
+            fcntl.flock(self._lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as error:
+            self._lock_file.close()
+            raise ReproError(
+                f"queue directory {root!r} is in use by another daemon "
+                f"(cannot lock {lock_path}: {error.strerror})"
+            ) from error
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
@@ -106,9 +104,6 @@ class JobQueue:
         #: one is logged with its path, counted here, and exported as the
         #: ``repro_journal_corrupt_total`` metric.
         self.corrupt_journals = 0
-        #: Expired leases this instance reaped or stole (orphaned jobs it
-        #: re-queued or adopted); exported as ``repro_leases_expired_total``.
-        self.leases_expired = 0
         self._recovered = self._load()
 
     # ------------------------------------------------------------------ #
@@ -140,152 +135,12 @@ class JobQueue:
                 pass
             raise
 
-    def _read_journal(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """The on-disk journal record of ``job_id``, or None when unusable."""
-        path = self._journal_path(job_id)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-            if record.get("serve_schema") != QUEUE_SCHEMA_VERSION:
-                return None
-            if not isinstance(record.get("job"), dict):
-                return None
-            return record
-        except (OSError, ValueError):
-            return None
-
-    # ------------------------------------------------------------------ #
-    # lease files (the multi-daemon arbitration primitive)
-    # ------------------------------------------------------------------ #
-
-    def _lease_path(self, job_id: str) -> str:
-        return os.path.join(self._leases_dir, f"{job_id}.lease")
-
-    def _read_lease(self, job_id: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._lease_path(job_id), "r", encoding="utf-8") as handle:
-                lease = json.load(handle)
-            if not isinstance(lease, dict):
-                return None
-            return lease
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # Unreadable is treated as *live*: leases are created atomically
-            # with their content (os.link), so an unreadable file is a
-            # filesystem hiccup, not a half-written claim — erring towards
-            # "owned" can only delay a reap, never double-run a job.
-            return {"owner": "<unreadable>", "expires_s": float("inf")}
-
-    def _lease_expired(self, lease: Optional[Dict[str, Any]]) -> bool:
-        if lease is None:
-            return True
-        expires = lease.get("expires_s")
-        if not isinstance(expires, (int, float)):
-            return False
-        return now_s() >= float(expires)
-
-    def _try_acquire_lease(self, job_id: str) -> Optional[float]:
-        """Atomically claim ``job_id``'s lease; returns the expiry or None.
-
-        The claim is an ``os.link`` of a fully written temp file onto the
-        lease path — an exclusive create, so exactly one contender wins and
-        no reader ever observes a lease without its owner/expiry.  An
-        *expired* lease is first stolen with ``os.rename`` (again: exactly
-        one winner) before the fresh link is attempted.
-        """
-        path = self._lease_path(job_id)
-        expires_s = now_s() + self._lease_s
-        payload = json.dumps(
-            {"owner": self._owner, "job": job_id, "expires_s": expires_s},
-            sort_keys=True,
-        )
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=f".{job_id}-", suffix=".lease-tmp", dir=self._leases_dir
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            for _ in range(2):
-                try:
-                    os.link(tmp_path, path)
-                    return expires_s
-                except FileExistsError:
-                    if not self._lease_expired(self._read_lease(job_id)):
-                        return None
-                    # Expired: steal it.  The rename succeeds for exactly
-                    # one contender; the loser sees FileNotFoundError and
-                    # retries the link (which then loses to the winner).
-                    stolen = os.path.join(
-                        self._leases_dir, f".{job_id}-stolen-{uuid.uuid4().hex[:8]}"
-                    )
-                    try:
-                        os.rename(path, stolen)
-                    except OSError:
-                        continue
-                    self.leases_expired += 1
-                    try:
-                        os.unlink(stolen)
-                    except OSError:
-                        pass
-                except OSError:
-                    return None
-            return None
-        finally:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-
-    def _release_lease(self, job_id: str) -> None:
-        """Drop the lease if this instance owns it (no-op otherwise)."""
-        lease = self._read_lease(job_id)
-        if lease is not None and lease.get("owner") == self._owner:
-            try:
-                os.unlink(self._lease_path(job_id))
-            except OSError:
-                pass
-
-    def renew_lease(self, job_id: str) -> bool:
-        """Heartbeat: extend this instance's lease on a running job.
-
-        Returns False when the lease is no longer ours — the job was reaped
-        by another daemon after an expiry (the caller should abandon the
-        audit: its result would double one already re-queued elsewhere).
-        """
-        path = self._lease_path(job_id)
-        lease = self._read_lease(job_id)
-        if lease is None or lease.get("owner") != self._owner:
-            return False
-        expires_s = now_s() + self._lease_s
-        payload = json.dumps(
-            {"owner": self._owner, "job": job_id, "expires_s": expires_s},
-            sort_keys=True,
-        )
-        try:
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=f".{job_id}-", suffix=".lease-tmp", dir=self._leases_dir
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_path, path)
-        except OSError:
-            return False
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None and job.state == "running":
-                job.lease_expires_s = expires_s
-        return True
-
     def _load(self) -> int:
         """Replay the journal; returns how many incomplete jobs were re-queued.
 
-        A ``running`` job whose lease is still live belongs to another
-        daemon sharing the directory: it stays ``running`` in memory and is
-        *not* re-queued.  Running jobs with an expired (or missing) lease
-        are orphans of a crashed daemon; they re-queue with ``restarts``
-        bumped, going through the atomic lease steal so that two daemons
-        starting at once cannot both adopt the same orphan.
+        The directory lock proves that the daemon which left a job
+        ``running`` is gone, so every such job re-queues at once with
+        ``restarts`` bumped.
         """
         recovered = 0
         for entry in sorted(os.listdir(self._jobs_dir)):
@@ -295,7 +150,10 @@ class JobQueue:
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     record = json.load(handle)
-                if record.get("serve_schema") != QUEUE_SCHEMA_VERSION:
+                if (
+                    not isinstance(record, dict)
+                    or record.get("serve_schema") != QUEUE_SCHEMA_VERSION
+                ):
                     self.corrupt_journals += 1
                     logger.warning("ignoring journal %s: schema mismatch", path)
                     continue
@@ -304,29 +162,12 @@ class JobQueue:
                 self.corrupt_journals += 1
                 logger.warning("ignoring corrupt journal %s: %s", path, error)
                 continue
-            if job.state == "running" or job.state == "queued":
-                lease = self._read_lease(job.id)
-                if job.state == "running" and not self._lease_expired(lease):
-                    # Live lease: a peer daemon is running it right now.
-                    pass
-                else:
-                    if job.state == "running":
-                        # Orphan: adopt it through the atomic steal so only
-                        # one starting daemon re-queues it.
-                        if lease is not None and self._try_acquire_lease(job.id) is None:
-                            # Lost the steal race; the winner re-queues it.
-                            self._jobs[job.id] = job
-                            self._events[job.id] = record.get("events") or []
-                            self._reports[job.id] = record.get("report")
-                            self._by_fingerprint.setdefault(job.fingerprint, job.id)
-                            continue
-                        self._release_lease(job.id)
-                        job.restarts += 1
-                    job.state = "queued"
-                    job.started_s = None
-                    job.owner = None
-                    job.lease_expires_s = None
-                    recovered += 1
+            if not job.terminal:
+                if job.state == "running":
+                    job.restarts += 1
+                job.state = "queued"
+                job.started_s = None
+                recovered += 1
             self._jobs[job.id] = job
             self._events[job.id] = record.get("events") or []
             self._reports[job.id] = record.get("report")
@@ -420,72 +261,22 @@ class JobQueue:
     # ------------------------------------------------------------------ #
 
     def claim(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Pop the highest-priority queued job, lease it, mark it running.
+        """Pop the highest-priority queued job and mark it running.
 
         Blocks up to ``timeout`` seconds (forever when ``None``); returns
-        ``None`` on timeout or queue shutdown.  The claim only stands once
-        the job's *lease file* is acquired and the on-disk journal still
-        agrees the job is claimable — the two checks that make N daemons
-        over one queue directory run every job exactly once.
+        ``None`` on timeout or queue shutdown.
         """
         with self._lock:
-            while True:
+            while not self._closed:
                 job = self._pop_locked()
                 if job is not None:
-                    claimed = self._claim_job_locked(job)
-                    if claimed is not None:
-                        return claimed
-                    current = self._jobs.get(job.id)
-                    if current is not None and current.state == "queued":
-                        # The lease was held by someone else while the job is
-                        # still queued — e.g. a reaper mid-steal, ours or a
-                        # peer's.  Dropping the heap entry here would strand
-                        # the job forever; keep it claimable and back off.
-                        self._push_locked(current)
-                        if self._closed or not self._available.wait(timeout=timeout):
-                            return None
-                    # Otherwise a peer ran (or finished) it; keep popping.
-                    continue
-                if self._closed:
-                    return None
+                    job.state = "running"
+                    job.started_s = now_s()
+                    self._write_journal_locked(job)
+                    return job
                 if not self._available.wait(timeout=timeout):
                     return None
-
-    def _claim_job_locked(self, job: Job) -> Optional[Job]:
-        """Lease ``job`` and transition it to running, or None if a peer won."""
-        expires_s = self._try_acquire_lease(job.id)
-        if expires_s is None:
             return None
-        # Revalidate against the shared journal: our in-memory copy may
-        # predate a peer finishing (or failing) the job.
-        record = self._read_journal(job.id)
-        if record is not None:
-            try:
-                on_disk = Job.from_dict(record["job"])
-            except ReproError:
-                on_disk = None
-            if on_disk is not None and on_disk.terminal:
-                self._release_lease(job.id)
-                self._absorb_record_locked(on_disk, record)
-                return None
-        job.state = "running"
-        job.started_s = now_s()
-        job.owner = self._owner
-        job.lease_expires_s = expires_s
-        self._write_journal_locked(job)
-        return job
-
-    def _absorb_record_locked(self, job: Job, record: Dict[str, Any]) -> None:
-        """Adopt a peer daemon's journal record into the in-memory view."""
-        self._jobs[job.id] = job
-        self._events[job.id] = record.get("events") or []
-        self._reports[job.id] = record.get("report")
-        if job.state == "failed":
-            if self._by_fingerprint.get(job.fingerprint) == job.id:
-                del self._by_fingerprint[job.fingerprint]
-        else:
-            self._by_fingerprint.setdefault(job.fingerprint, job.id)
-        self._available.notify_all()
 
     def _pop_locked(self) -> Optional[Job]:
         while self._heap:
@@ -509,13 +300,10 @@ class JobQueue:
             job.state = "done"
             job.finished_s = now_s()
             job.error = None
-            job.owner = None
-            job.lease_expires_s = None
             self._events[job_id] = list(events)
             self._reports[job_id] = report
             self._write_journal_locked(job)
             self._available.notify_all()
-        self._release_lease(job_id)
         return job
 
     def fail(self, job_id: str, error: str, events: Optional[List[Dict[str, Any]]] = None) -> Job:
@@ -524,8 +312,6 @@ class JobQueue:
             job.state = "failed"
             job.finished_s = now_s()
             job.error = error
-            job.owner = None
-            job.lease_expires_s = None
             if events is not None:
                 self._events[job_id] = list(events)
             # Failed jobs stop absorbing resubmissions so retries re-run.
@@ -533,7 +319,6 @@ class JobQueue:
                 del self._by_fingerprint[job.fingerprint]
             self._write_journal_locked(job)
             self._available.notify_all()
-        self._release_lease(job_id)
         return job
 
     # ------------------------------------------------------------------ #
@@ -541,6 +326,8 @@ class JobQueue:
     # ------------------------------------------------------------------ #
 
     def _require_locked(self, job_id: str) -> Job:
+        if self._closed:
+            raise ReproError("job queue is closed")
         job = self._jobs.get(job_id)
         if job is None:
             raise ReproError(f"unknown job {job_id!r}")
@@ -568,109 +355,6 @@ class JobQueue:
         """How many incomplete jobs the constructor replayed from disk."""
         return self._recovered
 
-    @property
-    def owner_id(self) -> str:
-        """This instance's identity on lease files."""
-        return self._owner
-
-    @property
-    def lease_s(self) -> float:
-        """How long this instance's claims stay valid without renewal."""
-        return self._lease_s
-
-    # ------------------------------------------------------------------ #
-    # reaper (multi-daemon liveness)
-    # ------------------------------------------------------------------ #
-
-    def reap_expired(self) -> int:
-        """Re-queue running jobs whose lease expired; returns how many.
-
-        Also re-syncs this instance's view from the shared journal
-        directory (peers' submissions and finishes become visible), so a
-        surviving daemon both *learns about* and *adopts* the work of a
-        crashed one.  Intended to run periodically from the daemon's
-        reaper thread; safe to call concurrently from several daemons —
-        the lease steal arbitrates, so each orphan is re-queued once.
-        """
-        self._sync_from_disk()
-        reaped = 0
-        with self._lock:
-            running = [job for job in self._jobs.values() if job.state == "running"]
-        for job in running:
-            lease = self._read_lease(job.id)
-            if not self._lease_expired(lease):
-                continue
-            # Steal the expired lease (or, when the lease file is already
-            # gone, take a fresh one) so exactly one daemon re-queues.
-            # The steal path counts itself in ``leases_expired``; a job
-            # whose lease file vanished entirely is counted here.
-            missing = lease is None
-            if self._try_acquire_lease(job.id) is None:
-                continue
-            if missing:
-                self.leases_expired += 1
-            with self._lock:
-                current = self._jobs.get(job.id)
-                if current is None or current.state != "running":
-                    self._release_lease(job.id)
-                    continue
-                current.state = "queued"
-                current.started_s = None
-                current.owner = None
-                current.lease_expires_s = None
-                current.restarts += 1
-                self._write_journal_locked(current)
-                # Release the steal-lease *before* waking claimers: a worker
-                # woken by the notify must be able to take the lease at once.
-                self._release_lease(job.id)
-                self._push_locked(current)
-                self._available.notify_all()
-            reaped += 1
-            logger.warning(
-                "lease expired on job %s (%s); re-queued with restarts=%d",
-                job.id, job.design_name, current.restarts,
-            )
-        return reaped
-
-    def _sync_from_disk(self) -> None:
-        """Absorb journal records written by peer daemons since startup."""
-        try:
-            entries = sorted(os.listdir(self._jobs_dir))
-        except OSError:
-            return
-        for entry in entries:
-            if not entry.endswith(".json"):
-                continue
-            job_id = entry[: -len(".json")]
-            record = self._read_journal(job_id)
-            if record is None:
-                continue
-            try:
-                on_disk = Job.from_dict(record["job"])
-            except ReproError:
-                continue
-            with self._lock:
-                known = self._jobs.get(job_id)
-                if known is None:
-                    # A peer's submission we have never seen: absorb it and
-                    # make it claimable here too when it is queued.
-                    self._absorb_record_locked(on_disk, record)
-                    if on_disk.state == "queued":
-                        self._push_locked(on_disk)
-                    continue
-                if known.state == on_disk.state:
-                    continue
-                if known.state == "running" and known.owner == self._owner:
-                    # Never let a peer's stale write clobber our own run.
-                    continue
-                if known.terminal and not on_disk.terminal:
-                    # Terminal states are final: the on-disk record was read
-                    # outside the lock and predates our own finish.
-                    continue
-                self._absorb_record_locked(on_disk, record)
-                if on_disk.state == "queued":
-                    self._push_locked(on_disk)
-
     def queued_depth(self) -> int:
         """Jobs currently waiting to be claimed (the ``/metrics`` gauge)."""
         with self._lock:
@@ -686,8 +370,6 @@ class JobQueue:
                 "by_state": counts,
                 "recovered": self._recovered,
                 "corrupt_journals": self.corrupt_journals,
-                "leases_expired": self.leases_expired,
-                "owner": self._owner,
             }
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
@@ -704,7 +386,14 @@ class JobQueue:
             return True
 
     def close(self) -> None:
-        """Wake every blocked :meth:`claim` and refuse new submissions."""
+        """Wake every blocked :meth:`claim`, stop writing, free the directory.
+
+        After close the queue refuses submissions, claims and verdicts, so
+        nothing it does can race the next daemon on the directory; a job
+        still running here stays ``running`` on disk and that daemon
+        re-queues it.  Idempotent.
+        """
         with self._lock:
             self._closed = True
             self._available.notify_all()
+            self._lock_file.close()
