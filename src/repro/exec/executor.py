@@ -29,6 +29,7 @@ import multiprocessing
 import os
 import queue as _queue
 import signal
+import sys
 import traceback
 import warnings
 from abc import ABC, abstractmethod
@@ -290,7 +291,16 @@ def _pool_worker_main(worker_name, units, task_queue, result_queue, claim_queue)
     while True:
         task = task_queue.get()
         if task is None:
-            break
+            # Exit without freeing the heap: tearing down up to
+            # MAX_CONTEXTS_PER_WORKER engines object by object is time the
+            # parent's close() would wait for.  Everything the parent reads
+            # is flushed first: the output streams, and the result queue's
+            # feeder thread, as on the worker_kill path below.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            result_queue.close()
+            result_queue.join_thread()
+            os._exit(0)
         claim_queue.put((worker_name, task.task_id))
         if _faults.fire("worker_kill"):
             # Drain the result feeder before dying.  The planned fault

@@ -64,12 +64,12 @@ def canonical_witness_config(config: DetectionConfig) -> DetectionConfig:
     )
 
 
+#: The same settings as an engine reports them (:attr:`IpcEngine.preprocessing`).
+_CANONICAL_PREPROCESSING = (True, CANONICAL_SIM_PATTERNS, CANONICAL_FRAIG_ROUNDS)
+
+
 def _has_canonical_settings(config: DetectionConfig) -> bool:
-    return (
-        config.simplify
-        and config.sim_patterns == CANONICAL_SIM_PATTERNS
-        and config.fraig_rounds == CANONICAL_FRAIG_ROUNDS
-    )
+    return (config.simplify, config.sim_patterns, config.fraig_rounds) == _CANONICAL_PREPROCESSING
 
 
 def _clear_preprocess_telemetry(result: PropertyCheckResult) -> None:
@@ -143,11 +143,6 @@ class DesignWorkContext:
         # and the fixed output -> class mapping.
         self._unroller: Optional[SequentialUnroller] = None
         self._sequential_outputs: Optional[List[str]] = None
-        # True while the context's (self-created) engine has not settled
-        # anything yet: a settle on a virgin engine is already canonical.
-        # Externally provided engines may carry prior state, so they are
-        # conservatively treated as non-virgin.
-        self._virgin = engine is None
         # Solver *work* (calls, conflicts) done on canonical re-settle
         # engines (see settle_class) — folded into stats_snapshot() so the
         # report's solver telemetry covers every engine this context used.
@@ -263,8 +258,10 @@ class DesignWorkContext:
         the report contract, the result cache and the simplify-equivalence
         guarantee all rely on.  Classes that simply hold (the overwhelming
         majority) never pay for it, and neither does a class whose fast path
-        already ran on a virgin engine with canonical settings — that settle
-        *is* the canonical one.
+        ran on an engine that had built nothing yet, with canonical settings
+        — that settle *is* the canonical one.  Classes settled on the RTL
+        build nothing, so a serial audit settles its first failing class
+        once, on the flow's own engine.
         """
         if self._config.mode == "sequential":
             kind = "sequential"
@@ -275,8 +272,22 @@ class DesignWorkContext:
         ):
             return self._settle_class_inner(k)
 
+    def _settles_canonically(self) -> bool:
+        """True when a settle now is itself the canonical witness settle.
+
+        That holds while the context's solver state is as new: no
+        sequential unroller yet, or an IPC engine, provided or not, that has
+        built nothing (:attr:`IpcEngine.pristine`) and checks with the
+        canonical settings.
+        """
+        if self._config.mode == "sequential":
+            return self._unroller is None and _has_canonical_settings(self._config)
+        if self._engine is None:
+            return _has_canonical_settings(self._config)
+        return self._engine.pristine and self._engine.preprocessing == _CANONICAL_PREPROCESSING
+
     def _settle_class_inner(self, k: int) -> ClassResult:
-        virgin = self._virgin
+        canonical_already = self._settles_canonically()
         # One wall-clock deadline covers the *whole* class settle — the fast
         # path, spurious-resolution rounds and the canonical witness
         # re-settle together — so ``check_timeout_s`` bounds the task a
@@ -287,9 +298,7 @@ class DesignWorkContext:
             deadline_s = _time.monotonic() + self._config.check_timeout_s
         try:
             result = self._settle_once(k, deadline_s=deadline_s)
-            if (result.rounds or result.terminal == "cex") and not (
-                virgin and _has_canonical_settings(self._config)
-            ):
+            if (result.rounds or result.terminal == "cex") and not canonical_already:
                 canonical_unit = replace(
                     self._unit, config=canonical_witness_config(self._config)
                 )
@@ -354,7 +363,6 @@ class DesignWorkContext:
 
     def _settle_once(self, k: int, deadline_s: Optional[float] = None) -> ClassResult:
         """One settle pass against this context's own solver state."""
-        self._virgin = False
         if self._config.mode == "sequential":
             return self._settle_sequential_once(k, deadline_s=deadline_s)
         return self._settle_combinational_once(k, deadline_s=deadline_s)

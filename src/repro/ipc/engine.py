@@ -1,18 +1,25 @@
 """The IPC engine: checks interval properties over symbolic starting states.
 
-The check of an interval property proceeds in three stages:
+The check of an interval property proceeds in four stages:
 
 1. *Assumption merging.*  Equality assumptions between free leaves (primary
    inputs at any time point, registers at the first time point) are applied
    by construction: the right-hand instance's leaf simply reuses the literal
    vector of the left-hand instance.  This is sound — it restricts the model
    exactly as the assumption does — and it is what lets structurally identical
-   logic collapse in the next stage.
-2. *Structural discharge.*  Both sides of every commitment are bit-blasted
-   onto one shared, structurally hashed AIG.  A commitment whose two sides
-   reduce to the same literal vector is proven without touching the SAT
-   solver.  In an untampered design this discharges every proof obligation.
-3. *SAT search.*  Remaining commitments form a miter (OR of bit differences)
+   logic collapse in the next stages.
+2. *RTL settle.*  Before any frame or AIG node is built, the merges are
+   planned on the RTL alone.  When the second instance's side of every
+   commitment (and of every assumption that could not be merged) reads,
+   through its whole cone, only leaves merged with the first instance's own,
+   both sides would bit-blast to the same literals: the check is discharged
+   with no AIG at all.  In an untampered design this settles most proof
+   obligations.
+3. *Structural discharge.*  Anything else is bit-blasted: both sides of
+   every commitment go onto one shared, structurally hashed AIG.  A
+   commitment whose two sides reduce to the same literal vector is proven
+   without touching the SAT solver.
+4. *SAT search.*  Remaining commitments form a miter (OR of bit differences)
    which is checked together with the non-merged assumptions by the CDCL
    solver.  A satisfying assignment is turned into a readable
    :class:`repro.ipc.cex.CounterExample`.
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.aig.aig import FALSE, TRUE, negate
 from repro.aig.bitblast import Vector
@@ -33,9 +40,55 @@ from repro.ipc.cex import CounterExample
 from repro.ipc.prop import Equality, IntervalProperty, Term
 from repro.obs.trace import span as _obs_span
 from repro.ipc.transition import SymbolicFrame, TransitionEncoder
+from repro.rtl import exprs
 from repro.rtl.ir import Module
 from repro.sat.context import SolverContext
 from repro.utils.bitvec import from_bits
+
+#: Marks a signal whose reads the RTL settle has not looked up yet.
+_UNREAD = object()
+
+
+def _blastable_support(expr: exprs.Expr) -> Optional[Tuple[str, ...]]:
+    """The signals ``expr`` reads, or None if the bit-blaster rejects it.
+
+    The bit-blaster rejects a node it does not know, and a modulo whose
+    divisor is not a constant power of two (Verilog ``a % b`` elaborates
+    to one).
+    """
+    names: Set[str] = set()
+    seen: Set[int] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, exprs.Ref):
+            names.add(node.name)
+        elif isinstance(node, exprs.Binop):
+            divisor = node.right
+            if node.op == exprs.BinaryOp.MOD and not (
+                isinstance(divisor, exprs.Const)
+                and divisor.value
+                and not divisor.value & (divisor.value - 1)
+            ):
+                return None
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, exprs.Unop):
+            stack.append(node.operand)
+        elif isinstance(node, exprs.Mux):
+            stack.extend((node.cond, node.then, node.otherwise))
+        elif isinstance(node, exprs.Concat):
+            stack.extend(node.parts)
+        elif isinstance(node, exprs.Slice):
+            stack.append(node.base)
+        elif isinstance(node, exprs.Lut):
+            stack.append(node.index)
+        elif not isinstance(node, exprs.Const):
+            return None
+    return tuple(names)
 
 
 @dataclass
@@ -148,6 +201,10 @@ class IpcEngine:
         self._sim_patterns = sim_patterns
         self._fraig_rounds = fraig_rounds
         self._preprocessor: Optional[Preprocessor] = None
+        # The RTL settle's signal reads (None: the bit-blaster rejects the
+        # driver), looked up once per signal for the engine's lifetime.
+        self._comb_reads: Dict[str, Optional[Tuple[str, ...]]] = {}
+        self._next_reads: Dict[str, Optional[Tuple[str, ...]]] = {}
 
     @property
     def module(self) -> Module:
@@ -160,6 +217,27 @@ class IpcEngine:
     @property
     def solver_context(self) -> SolverContext:
         return self._context
+
+    @property
+    def preprocessing(self) -> Tuple[bool, int, int]:
+        """The engine's (simplify, sim_patterns, fraig_rounds) settings."""
+        return (self._simplify, self._sim_patterns, self._fraig_rounds)
+
+    @property
+    def pristine(self) -> bool:
+        """True while the engine has built nothing that could steer a check.
+
+        No AIG node beyond the constant, no persistent frame, no solver
+        call and no preprocessor: a check now runs exactly as on a new
+        engine with the same settings.  Checks settled on the RTL keep an
+        engine pristine.
+        """
+        return (
+            self._encoder.aig.num_nodes == 1
+            and not self._base_frames
+            and self._preprocessor is None
+            and self._context.solve_calls == 0
+        )
 
     def stats(self) -> Dict[str, object]:
         """Snapshot of the engine's shared solver-context statistics.
@@ -205,16 +283,35 @@ class IpcEngine:
         return self.finish_check(self.begin_check(prop))
 
     def begin_check(self, prop: IntervalProperty) -> PreparedCheck:
-        """Structural stage: bit-blast, merge assumptions, discharge on the AIG.
+        """Structural stage: merge assumptions, settle on the RTL or the AIG.
 
-        Cheap (no SAT): a commitment whose sides hash to the same literal
-        vector is proven structurally.  The returned :class:`PreparedCheck`
-        records whether SAT obligations remain; if so, :meth:`finish_check`
-        settles them against the shared incremental solver context.
+        Cheap (no SAT): a check whose cones read only merged leaves is
+        discharged on the RTL (see :meth:`_settle_on_rtl`); otherwise both
+        sides are bit-blasted and a commitment whose sides hash to the same
+        literal vector is proven structurally.  The returned
+        :class:`PreparedCheck` records whether SAT obligations remain; if
+        so, :meth:`finish_check` settles them against the shared incremental
+        solver context.
         """
         started = _time.perf_counter()
         prop.validate()
         window = prop.window()
+        merged = self._settle_on_rtl(prop, window)
+        if merged is not None:
+            result = PropertyCheckResult(
+                prop=prop,
+                holds=True,
+                structurally_proven=True,
+                merged_assumptions=merged,
+                aig_nodes=self._encoder.aig.num_nodes,
+            )
+            prepared = PreparedCheck(
+                prop=prop, result=result, frames={}, obligations=[],
+                clause_assumptions=[], window=window,
+            )
+            prepared.prepare_seconds = _time.perf_counter() - started
+            result.runtime_seconds = prepared.prepare_seconds
+            return prepared
         instances = prop.instances()
 
         with _obs_span("bitblast", prop=prop.name):
@@ -364,6 +461,48 @@ class IpcEngine:
             return True
         return module.is_register(term.signal) and term.time == 0
 
+    def _merge_assumptions(
+        self,
+        prop: IntervalProperty,
+        window: int,
+        bind: Callable[[Term, Union[Term, int]], bool],
+    ) -> Tuple[int, List[Tuple[Term, Union[Term, int]]]]:
+        """Decide, in assumption order, which assumptions merge by binding.
+
+        ``bind(target, source)`` binds the free leaf ``target`` to the value
+        of the term or constant ``source`` and says whether it did.  Returns
+        the merge count and the assumptions left for clause constraints.
+        """
+        module = self._module
+        merged = 0
+        deferred: List[Tuple[Term, Union[Term, int]]] = []
+        bound: Set[Tuple[int, int, str]] = set()
+        for assumption in prop.assumptions:
+            left, right = assumption.left, assumption.right
+            if isinstance(right, Term):
+                target, source = right, left
+                mergeable = (
+                    self._is_free_leaf(right)
+                    and right.instance not in self._persistent_instances
+                    and right.time <= window
+                    and (right.instance, right.time, right.signal) not in bound
+                    and module.width_of(left.signal) == module.width_of(right.signal)
+                    and (right.instance, right.signal) != (left.instance, left.signal)
+                )
+            else:
+                target, source = left, int(right)
+                mergeable = (
+                    self._is_free_leaf(left)
+                    and left.instance not in self._persistent_instances
+                    and (left.instance, left.time, left.signal) not in bound
+                )
+            if mergeable and bind(target, source):
+                bound.add((target.instance, target.time, target.signal))
+                merged += 1
+            else:
+                deferred.append((left, right))
+        return merged, deferred
+
     def _apply_assumption_merging(
         self,
         prop: IntervalProperty,
@@ -379,46 +518,18 @@ class IpcEngine:
         bound — otherwise a cone cached early would keep referring to stale
         free variables of a leaf that a later assumption merges.
         """
-        merged = 0
-        deferred: List[Tuple[Term, Union[Term, int]]] = []
-        bound: set = set()
-
-        def try_bind(target: Term, vector) -> bool:
+        def bind(target: Term, source: Union[Term, int]) -> bool:
+            if isinstance(source, Term):
+                vector = self._term_vector(source, frames)
+            else:
+                vector = self._encoder.blaster.constant(source, self._module.width_of(target.signal))
             frame = frames[target.instance][target.time]
             if frame.is_bound(target.signal):
                 return False
             frame.bind_leaf(target.signal, vector)
-            bound.add((target.instance, target.time, target.signal))
             return True
 
-        for assumption in prop.assumptions:
-            left, right = assumption.left, assumption.right
-            if isinstance(right, Term):
-                mergeable = (
-                    self._is_free_leaf(right)
-                    and right.instance not in self._persistent_instances
-                    and right.time <= window
-                    and (right.instance, right.time, right.signal) not in bound
-                    and self._module.width_of(left.signal) == self._module.width_of(right.signal)
-                    and (right.instance, right.signal) != (left.instance, left.signal)
-                )
-                if mergeable and try_bind(right, self._term_vector(left, frames)):
-                    merged += 1
-                    continue
-                deferred.append((left, right))
-            else:
-                width = self._module.width_of(left.signal)
-                constant_vector = self._encoder.blaster.constant(int(right), width)
-                bindable = (
-                    self._is_free_leaf(left)
-                    and left.instance not in self._persistent_instances
-                    and (left.instance, left.time, left.signal) not in bound
-                )
-                if bindable and try_bind(left, constant_vector):
-                    merged += 1
-                    continue
-                deferred.append((left, right))
-
+        merged, deferred = self._merge_assumptions(prop, window, bind)
         clause_literals: List[int] = []
         for left, right in deferred:
             left_vector = self._term_vector(left, frames)
@@ -428,6 +539,133 @@ class IpcEngine:
                 right_vector = self._encoder.blaster.constant(int(right), len(left_vector))
             clause_literals.append(self._equality_literal(left_vector, right_vector))
         return merged, [literal for literal in clause_literals if literal != TRUE]
+
+    # ------------------------------------------------------------------ #
+    # RTL settle
+    # ------------------------------------------------------------------ #
+
+    def _settle_on_rtl(self, prop: IntervalProperty, window: int) -> Optional[int]:
+        """Discharge ``prop`` before any frame or AIG node is built.
+
+        The assumptions are merged exactly as the bit-blast path merges
+        them.  Then every commitment, and every assumption left unmerged,
+        must equate a signal of instance 0 with the same signal and time
+        point of a rebuilt instance whose cone reads only leaves merged
+        with instance 0's own.  Equal cones over equal leaf vectors blast to
+        equal literal vectors, so the bit-blast path would discharge the
+        check structurally with no clause constraint left.
+
+        Returns the merge count, or None when the check must be
+        bit-blasted: when some cone reads another leaf, and for anything
+        the bit-blast path would reject, so that its errors still show.
+        """
+        module = self._module
+        persistent = self._persistent_instances
+        if 0 not in persistent:
+            return None
+        for constraint in (*prop.assumptions, *prop.commitments):
+            terms = (constraint.left, constraint.right)
+            if any(isinstance(term, Term) and term.signal not in module.signals for term in terms):
+                return None
+        if any(
+            isinstance(assumption.right, Term) and assumption.left.instance not in persistent
+            for assumption in prop.assumptions
+        ):
+            # Binding to a term of a rebuilt instance builds part of its
+            # frames first, which can keep a later merge from binding.
+            return None
+
+        # Merged leaf (instance, time, signal) -> the term (as the same kind
+        # of key) or the constant it was bound to.
+        sources: Dict[Tuple[int, int, str], object] = {}
+
+        def bind(target: Term, source: Union[Term, int]) -> bool:
+            if isinstance(source, Term):
+                source = (source.instance, source.time, source.signal)
+            sources[(target.instance, target.time, target.signal)] = source
+            return True
+
+        merged, deferred = self._merge_assumptions(prop, window, bind)
+        roots: List[Tuple[int, int, str]] = []
+        for left, right in (*deferred, *((c.left, c.right) for c in prop.commitments)):
+            if not (
+                isinstance(right, Term)
+                and left.instance == 0
+                and right.instance not in persistent
+                and (right.signal, right.time) == (left.signal, left.time)
+            ):
+                return None
+            roots.append((right.instance, right.time, right.signal))
+        if not self._cones_read_merged_leaves(roots, sources):
+            return None
+        return merged
+
+    def _cones_read_merged_leaves(
+        self, roots: List[Tuple[int, int, str]], sources: Dict[Tuple[int, int, str], object]
+    ) -> bool:
+        """True when the cones of ``roots`` read only leaves merged with instance 0's.
+
+        Nodes are (instance, time, signal).  The depth-first search keeps
+        an explicit stack, so a deep chain cannot exhaust the recursion
+        limit, and fails on a combinational loop, which the bit-blast path
+        cannot lower.
+        """
+        finished: Set[Tuple[int, int, str]] = set()
+        for root in roots:
+            if root in finished:
+                continue
+            reads = self._rtl_reads(root, sources)
+            if reads is None:
+                return False
+            path = {root}
+            stack: List[Tuple[Tuple[int, int, str], Iterator[Tuple[int, int, str]]]] = [
+                (root, iter(reads))
+            ]
+            while stack:
+                node, pending = stack[-1]
+                for successor in pending:
+                    if successor in path:
+                        return False
+                    if successor in finished:
+                        continue
+                    reads = self._rtl_reads(successor, sources)
+                    if reads is None:
+                        return False
+                    path.add(successor)
+                    stack.append((successor, iter(reads)))
+                    break
+                else:
+                    stack.pop()
+                    path.discard(node)
+                    finished.add(node)
+        return True
+
+    def _rtl_reads(
+        self, node: Tuple[int, int, str], sources: Dict[Tuple[int, int, str], object]
+    ) -> Optional[List[Tuple[int, int, str]]]:
+        """The nodes ``node``'s value is computed from.
+
+        A leaf reads nothing, and is accepted only when merged with instance
+        0's same leaf.  None rejects the node.
+        """
+        instance, time, name = node
+        module = self._module
+        if name in module.inputs or (time == 0 and name in module.registers):
+            return [] if sources.get(node) == (0, time, name) else None
+        if name in module.registers:
+            reads = self._next_reads.get(name, _UNREAD)
+            if reads is _UNREAD:
+                reads = self._next_reads[name] = _blastable_support(module.registers[name].next)
+            time -= 1
+        else:
+            reads = self._comb_reads.get(name, _UNREAD)
+            if reads is _UNREAD:
+                driver = module.comb.get(name)
+                reads = None if driver is None else _blastable_support(driver)
+                self._comb_reads[name] = reads
+        if reads is None:
+            return None
+        return [(instance, time, read) for read in reads]
 
     # ------------------------------------------------------------------ #
     # Term evaluation

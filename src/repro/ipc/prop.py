@@ -16,6 +16,7 @@ for user-supplied waiver assumptions (Sec. V-B).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -89,15 +90,11 @@ class IntervalProperty:
 
     def assume_equal(self, signal: str, time: int = 0) -> None:
         """Add the 2-safety assumption ``inst1.signal@t+time == inst2.signal@t+time``."""
-        self.assumptions.append(
-            Equality(Term(signal, time, instance=0), Term(signal, time, instance=1))
-        )
+        self.assumptions.append(_mirrored(signal, time))
 
     def prove_equal(self, signal: str, time: int) -> None:
         """Add the 2-safety commitment ``inst1.signal@t+time == inst2.signal@t+time``."""
-        self.commitments.append(
-            Equality(Term(signal, time, instance=0), Term(signal, time, instance=1))
-        )
+        self.commitments.append(_mirrored(signal, time))
 
     def proven_signals(self) -> List[str]:
         """Signals named on the left-hand side of commitments (report helper)."""
@@ -114,6 +111,18 @@ class IntervalProperty:
         for constraint in self.commitments:
             lines.append(f"    {constraint}")
         return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=4096)
+def _mirrored(signal: str, time: int) -> Equality:
+    """``inst1.signal@t+time == inst2.signal@t+time``, built once per pair.
+
+    Equalities are immutable, so properties can share them.  The flow's
+    properties repeat the same pairs class after class (cumulative
+    assumptions) and design after design, and building each afresh was
+    most of the cost of property construction.
+    """
+    return Equality(Term(signal, time, instance=0), Term(signal, time, instance=1))
 
 
 def pairwise_equalities(

@@ -66,6 +66,14 @@ logger = logging.getLogger("repro.serve")
 #: comfortably; anything bigger is a client bug or abuse).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: An oversized submission body up to this many bytes is read and discarded
+#: before the 413 answer, so the client, still sending, reads the answer
+#: instead of a connection reset.  A larger one is answered unread, and the
+#: connection closed, since draining it would cost more than it is worth.
+MAX_DRAIN_BYTES = 64 * 1024 * 1024
+#: Bytes read per chunk while draining.
+_DRAIN_CHUNK_BYTES = 64 * 1024
+
 #: Seconds of stream inactivity between SSE keepalive comments.
 KEEPALIVE_INTERVAL_S = 15.0
 
@@ -425,16 +433,20 @@ def _make_handler(server: AuditServer):
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             logger.debug("%s - %s", self.address_string(), format % args)
 
-        def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        def _send_json(
+            self, status: int, payload: Dict[str, Any], close: bool = False
+        ) -> None:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
-        def _send_error_json(self, status: int, message: str) -> None:
-            self._send_json(status, {"error": message})
+        def _send_error_json(self, status: int, message: str, close: bool = False) -> None:
+            self._send_json(status, {"error": message}, close=close)
 
         def _send_metrics(self) -> None:
             body = server.metrics.render().encode("utf-8")
@@ -523,8 +535,17 @@ def _make_handler(server: AuditServer):
                 )
                 return
             if length > server._max_body_bytes:
+                if length <= MAX_DRAIN_BYTES:
+                    remaining = length
+                    while remaining > 0:
+                        chunk = self.rfile.read(min(remaining, _DRAIN_CHUNK_BYTES))
+                        if not chunk:
+                            break
+                        remaining -= len(chunk)
                 self._send_error_json(
-                    413, f"submission body exceeds {server._max_body_bytes} bytes"
+                    413,
+                    f"submission body exceeds {server._max_body_bytes} bytes",
+                    close=True,
                 )
                 return
             raw = self.rfile.read(length)

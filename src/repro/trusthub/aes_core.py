@@ -15,6 +15,7 @@ results are directly comparable with
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from repro.crypto.aes_ref import SBOX
@@ -253,8 +254,12 @@ def aes_top_verilog(module_name: str = "aes128") -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def aes_library_verilog() -> str:
-    """All support modules of the AES core (everything except the top level)."""
+    """All support modules of the AES core (everything except the top level).
+
+    Built once per process: every AES-based design of the catalogue shares it.
+    """
     return "\n\n".join(
         [
             sbox_verilog(),

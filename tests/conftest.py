@@ -115,10 +115,15 @@ endmodule
 
 @pytest.fixture
 def aig_work(monkeypatch):
-    """Counts, for one test, ``AIG.and_`` calls and the nodes they and ``add_input`` create."""
-    counts = {"and_calls": 0, "and_nodes": 0, "inputs": 0}
+    """Counts, for one test, AIGs built, ``AIG.and_`` calls and the nodes they and ``add_input`` create."""
+    counts = {"aigs": 0, "and_calls": 0, "and_nodes": 0, "inputs": 0}
+    original_init = AIG.__init__
     original_and = AIG.and_
     original_input = AIG.add_input
+
+    def counting_init(self):
+        counts["aigs"] += 1
+        original_init(self)
 
     def counting_and(self, a, b):
         before = self.num_nodes
@@ -131,6 +136,7 @@ def aig_work(monkeypatch):
         counts["inputs"] += 1
         return original_input(self, name)
 
+    monkeypatch.setattr(AIG, "__init__", counting_init)
     monkeypatch.setattr(AIG, "and_", counting_and)
     monkeypatch.setattr(AIG, "add_input", counting_input)
     return counts

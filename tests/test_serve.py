@@ -650,6 +650,24 @@ class TestServeAdmission:
         # Both were refused before the queue directory was locked.
         JobQueue(queue_dir).close()
 
+    def test_oversized_submission_is_http_413(self, tmp_path):
+        # The daemon reads and discards the body before answering, so a
+        # client still sending it gets the 413, not a reset connection.  The
+        # body outgrows the socket buffers, so answering it unread fails
+        # every time, not only sometimes.
+        server = AuditServer(
+            port=0, queue_dir=str(tmp_path / "serve"), jobs=0, max_body_bytes=1024
+        )
+        server.start()
+        try:
+            client = ServeClient(server.url, timeout=30.0)
+            with pytest.raises(ServeError) as excinfo:
+                client.submit({"verilog": "x" * 16_000_000, "top": "widget"})
+            assert excinfo.value.status == 413
+            assert client.stats()["queue"]["jobs"] == 0
+        finally:
+            server.stop()
+
     def test_restart_completes_journaled_jobs(self, tmp_path):
         queue_dir = str(tmp_path / "serve")
         accept_only = AuditServer(port=0, queue_dir=queue_dir, jobs=0)

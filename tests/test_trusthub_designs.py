@@ -6,6 +6,8 @@ that every Trojan stays dormant under normal operation — the premise that
 makes the Trojans realistic and dynamic testing ineffective.
 """
 
+import hashlib
+
 import pytest
 
 from repro.crypto.aes_ref import aes128_encrypt_block
@@ -103,6 +105,18 @@ class TestAesTrojansDormant:
                 assert design.expected_detection != "secure", name
             else:
                 assert design.expected_detection == "secure", name
+
+    def test_catalogued_sources_are_pinned(self):
+        # SHA-256 over every design's name and source, in catalogue order,
+        # as it was when each design built the AES support library afresh:
+        # building it once per process must not change a byte.
+        digest = hashlib.sha256()
+        designs = catalog()
+        for name in design_names():
+            digest.update(f"{name}\n{designs[name].source}\n".encode("utf-8"))
+        assert digest.hexdigest() == (
+            "0f6214e49639f9e20c866241f6b60f3406d99f8a43deab16b15faa20c21b23fd"
+        )
 
     def test_unknown_design_raises(self):
         from repro.errors import DesignError
