@@ -68,6 +68,7 @@ from repro.api import (
     parse_input_list,
 )
 from repro.errors import ReproError
+from repro.trusthub import catalog, design_names, families
 
 #: Flag defaults are read off a default config, so tuning a library default
 #: can never silently diverge from what the CLI passes (the batch template
@@ -636,8 +637,6 @@ def _write_cex_vcd(path: str, report: DetectionReport, design: Design) -> None:
 
 
 def _select_benchmarks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> List[str]:
-    from repro.trusthub import design_names, families
-
     names: List[str] = list(args.benchmarks)
     for family in args.family:
         if family not in families():
@@ -677,8 +676,6 @@ def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_list_benchmarks(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.trusthub import catalog, families
-
     if args.family and args.family not in families():
         parser.error(f"unknown family {args.family!r}; available: {', '.join(families())}")
     for name, design in sorted(catalog().items()):

@@ -10,11 +10,13 @@ The check of an interval property proceeds in four stages:
    logic collapse in the next stages.
 2. *RTL settle.*  Before any frame or AIG node is built, the merges are
    planned on the RTL alone.  When the second instance's side of every
-   commitment (and of every assumption that could not be merged) reads,
-   through its whole cone, only leaves merged with the first instance's own,
-   both sides would bit-blast to the same literals: the check is discharged
-   with no AIG at all.  In an untampered design this settles most proof
-   obligations.
+   commitment reads, through its whole cone, only leaves merged with the
+   first instance's own, both sides would bit-blast to the same literals:
+   every commitment is proven with no AIG node built for it.  An
+   assumption that could not be merged but passes the same walk would
+   blast to TRUE and is dropped; only the other leftovers are bit-blasted,
+   to count them as clause constraints, and the check needs no SAT call.
+   In an untampered design this settles most proof obligations.
 3. *Structural discharge.*  Anything else is bit-blasted: both sides of
    every commitment go onto one shared, structurally hashed AIG.  A
    commitment whose two sides reduce to the same literal vector is proven
@@ -229,8 +231,8 @@ class IpcEngine:
 
         No AIG node beyond the constant, no persistent frame, no solver
         call and no preprocessor: a check now runs exactly as on a new
-        engine with the same settings.  Checks settled on the RTL keep an
-        engine pristine.
+        engine with the same settings.  Checks settled on the RTL with no
+        assumption left to bit-blast keep an engine pristine.
         """
         return (
             self._encoder.aig.num_nodes == 1
@@ -285,8 +287,9 @@ class IpcEngine:
     def begin_check(self, prop: IntervalProperty) -> PreparedCheck:
         """Structural stage: merge assumptions, settle on the RTL or the AIG.
 
-        Cheap (no SAT): a check whose cones read only merged leaves is
-        discharged on the RTL (see :meth:`_settle_on_rtl`); otherwise both
+        Cheap (no SAT): a check whose commitment cones read only merged
+        leaves is discharged on the RTL (see :meth:`_settle_on_rtl`), and
+        only the assumptions it leaves over are bit-blasted; otherwise both
         sides are bit-blasted and a commitment whose sides hash to the same
         literal vector is proven structurally.  The returned
         :class:`PreparedCheck` records whether SAT obligations remain; if
@@ -296,13 +299,13 @@ class IpcEngine:
         started = _time.perf_counter()
         prop.validate()
         window = prop.window()
-        merged = self._settle_on_rtl(prop, window)
-        if merged is not None:
+        settled = self._settle_on_rtl(prop, window)
+        if settled is not None and not settled[1]:
             result = PropertyCheckResult(
                 prop=prop,
                 holds=True,
                 structurally_proven=True,
-                merged_assumptions=merged,
+                merged_assumptions=settled[0],
                 aig_nodes=self._encoder.aig.num_nodes,
             )
             prepared = PreparedCheck(
@@ -323,11 +326,15 @@ class IpcEngine:
                 persistent = instance in self._persistent_instances
                 frames[instance] = self._frames_for_instance(instance, window, persistent)
 
-            merged, clause_assumptions = self._apply_assumption_merging(prop, frames, window)
+            merged, deferred = self._apply_assumption_merging(prop, frames, window)
+            # A check settled on the RTL blasts only its leftover assumptions.
+            clause_assumptions = self._clause_literals(
+                deferred if settled is None else settled[1], frames
+            )
 
             # Bit-blast both sides of every commitment.
             obligations: List[Tuple[Equality, Vector, Vector, int]] = []
-            for commitment in prop.commitments:
+            for commitment in prop.commitments if settled is None else ():
                 left_vector = self._term_vector(commitment.left, frames)
                 right_vector = self._constraint_rhs_vector(commitment, frames, left_vector)
                 difference = self._difference_literal(left_vector, right_vector)
@@ -508,15 +515,16 @@ class IpcEngine:
         prop: IntervalProperty,
         frames: Dict[int, List[SymbolicFrame]],
         window: int,
-    ) -> Tuple[int, List[int]]:
-        """Bind mergeable equalities directly; return (merge count, other literals).
+    ) -> Tuple[int, List[Tuple[Term, Union[Term, int]]]]:
+        """Bind mergeable equalities directly; return (merge count, the others).
 
-        Merging happens in a first pass over *all* assumptions, and only then
-        are the remaining assumptions turned into clause constraints.  The
-        clause constraints bit-blast combinational cones of the non-persistent
-        instance, which must not happen before every bindable leaf has been
-        bound — otherwise a cone cached early would keep referring to stale
-        free variables of a leaf that a later assumption merges.
+        Merging is a first pass over *all* assumptions; only then may
+        :meth:`_clause_literals` turn the remaining ones into clause
+        constraints.  Those bit-blast combinational cones of the
+        non-persistent instance, which must not happen before every bindable
+        leaf has been bound — otherwise a cone cached early would keep
+        referring to stale free variables of a leaf that a later assumption
+        merges.
         """
         def bind(target: Term, source: Union[Term, int]) -> bool:
             if isinstance(source, Term):
@@ -529,7 +537,14 @@ class IpcEngine:
             frame.bind_leaf(target.signal, vector)
             return True
 
-        merged, deferred = self._merge_assumptions(prop, window, bind)
+        return self._merge_assumptions(prop, window, bind)
+
+    def _clause_literals(
+        self,
+        deferred: List[Tuple[Term, Union[Term, int]]],
+        frames: Dict[int, List[SymbolicFrame]],
+    ) -> List[int]:
+        """The clause constraints of unmerged assumptions, TRUE ones dropped."""
         clause_literals: List[int] = []
         for left, right in deferred:
             left_vector = self._term_vector(left, frames)
@@ -538,26 +553,31 @@ class IpcEngine:
             else:
                 right_vector = self._encoder.blaster.constant(int(right), len(left_vector))
             clause_literals.append(self._equality_literal(left_vector, right_vector))
-        return merged, [literal for literal in clause_literals if literal != TRUE]
+        return [literal for literal in clause_literals if literal != TRUE]
 
     # ------------------------------------------------------------------ #
     # RTL settle
     # ------------------------------------------------------------------ #
 
-    def _settle_on_rtl(self, prop: IntervalProperty, window: int) -> Optional[int]:
-        """Discharge ``prop`` before any frame or AIG node is built.
+    def _settle_on_rtl(
+        self, prop: IntervalProperty, window: int
+    ) -> Optional[Tuple[int, List[Tuple[Term, Union[Term, int]]]]]:
+        """Prove ``prop``'s commitments before any frame or AIG node is built.
 
         The assumptions are merged exactly as the bit-blast path merges
-        them.  Then every commitment, and every assumption left unmerged,
-        must equate a signal of instance 0 with the same signal and time
-        point of a rebuilt instance whose cone reads only leaves merged
-        with instance 0's own.  Equal cones over equal leaf vectors blast to
-        equal literal vectors, so the bit-blast path would discharge the
-        check structurally with no clause constraint left.
+        them.  Then every commitment must pass :meth:`_reads_merged_leaves`:
+        equal cones over equal leaf vectors blast to equal literal vectors,
+        so the bit-blast path would prove every commitment structurally.
+        Extra assumptions only shrink the checked state space, so whatever
+        could not be merged cannot undo that.  An unmerged assumption that
+        passes the same walk would blast to TRUE and is dropped; the others
+        are left over, for the caller to bit-blast into clause constraints
+        (so the bit-blaster's errors on them still show).
 
-        Returns the merge count, or None when the check must be
-        bit-blasted: when some cone reads another leaf, and for anything
-        the bit-blast path would reject, so that its errors still show.
+        Returns the merge count and the leftover assumptions, or None when
+        the check must be bit-blasted: when some commitment's cone reads
+        another leaf, and for anything the bit-blast path would reject, so
+        that its errors still show.
         """
         module = self._module
         persistent = self._persistent_instances
@@ -586,58 +606,69 @@ class IpcEngine:
             return True
 
         merged, deferred = self._merge_assumptions(prop, window, bind)
-        roots: List[Tuple[int, int, str]] = []
-        for left, right in (*deferred, *((c.left, c.right) for c in prop.commitments)):
-            if not (
-                isinstance(right, Term)
-                and left.instance == 0
-                and right.instance not in persistent
-                and (right.signal, right.time) == (left.signal, left.time)
-            ):
-                return None
-            roots.append((right.instance, right.time, right.signal))
-        if not self._cones_read_merged_leaves(roots, sources):
-            return None
-        return merged
-
-    def _cones_read_merged_leaves(
-        self, roots: List[Tuple[int, int, str]], sources: Dict[Tuple[int, int, str], object]
-    ) -> bool:
-        """True when the cones of ``roots`` read only leaves merged with instance 0's.
-
-        Nodes are (instance, time, signal).  The depth-first search keeps
-        an explicit stack, so a deep chain cannot exhaust the recursion
-        limit, and fails on a combinational loop, which the bit-blast path
-        cannot lower.
-        """
         finished: Set[Tuple[int, int, str]] = set()
-        for root in roots:
-            if root in finished:
-                continue
-            reads = self._rtl_reads(root, sources)
-            if reads is None:
-                return False
-            path = {root}
-            stack: List[Tuple[Tuple[int, int, str], Iterator[Tuple[int, int, str]]]] = [
-                (root, iter(reads))
-            ]
-            while stack:
-                node, pending = stack[-1]
-                for successor in pending:
-                    if successor in path:
-                        return False
-                    if successor in finished:
-                        continue
-                    reads = self._rtl_reads(successor, sources)
-                    if reads is None:
-                        return False
-                    path.add(successor)
-                    stack.append((successor, iter(reads)))
-                    break
-                else:
-                    stack.pop()
-                    path.discard(node)
-                    finished.add(node)
+        for commitment in prop.commitments:
+            if not self._reads_merged_leaves(commitment.left, commitment.right, sources, finished):
+                return None
+        leftovers = [
+            (left, right)
+            for left, right in deferred
+            if not self._reads_merged_leaves(left, right, sources, finished)
+        ]
+        return merged, leftovers
+
+    def _reads_merged_leaves(
+        self,
+        left: Term,
+        right: Union[Term, int],
+        sources: Dict[Tuple[int, int, str], object],
+        finished: Set[Tuple[int, int, str]],
+    ) -> bool:
+        """True when ``left == right`` equates two cones over the same merged leaves.
+
+        ``left`` must be a signal of instance 0 and ``right`` the same
+        signal and time point of a rebuilt instance, whose cone reads only
+        leaves merged with instance 0's own.  Nodes are (instance, time,
+        signal); ``finished`` holds the nodes already known to pass, shared
+        by the walks of one check.  The depth-first search keeps an
+        explicit stack, so a deep chain cannot exhaust the recursion limit,
+        and fails on a combinational loop, which the bit-blast path cannot
+        lower.
+        """
+        if not (
+            isinstance(right, Term)
+            and left.instance == 0
+            and right.instance not in self._persistent_instances
+            and (right.signal, right.time) == (left.signal, left.time)
+        ):
+            return False
+        root = (right.instance, right.time, right.signal)
+        if root in finished:
+            return True
+        reads = self._rtl_reads(root, sources)
+        if reads is None:
+            return False
+        path = {root}
+        stack: List[Tuple[Tuple[int, int, str], Iterator[Tuple[int, int, str]]]] = [
+            (root, iter(reads))
+        ]
+        while stack:
+            node, pending = stack[-1]
+            for successor in pending:
+                if successor in path:
+                    return False
+                if successor in finished:
+                    continue
+                reads = self._rtl_reads(successor, sources)
+                if reads is None:
+                    return False
+                path.add(successor)
+                stack.append((successor, iter(reads)))
+                break
+            else:
+                stack.pop()
+                path.discard(node)
+                finished.add(node)
         return True
 
     def _rtl_reads(

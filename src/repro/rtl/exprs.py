@@ -51,14 +51,14 @@ _BOOLEAN_BINOPS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """Base class; every expression has a result ``width`` in bits."""
 
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     """Constant with an unsigned ``value`` truncated to ``width`` bits."""
 
@@ -68,14 +68,14 @@ class Const(Expr):
         object.__setattr__(self, "value", truncate(self.value, self.width))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref(Expr):
     """Reference to a flat signal by name."""
 
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unop(Expr):
     """Unary operation; reduction operators always have ``width == 1``."""
 
@@ -83,7 +83,7 @@ class Unop(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binop(Expr):
     """Binary operation; comparison/logical operators have ``width == 1``."""
 
@@ -92,7 +92,7 @@ class Binop(Expr):
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mux(Expr):
     """Two-way multiplexer selected by a 1-bit condition."""
 
@@ -101,14 +101,14 @@ class Mux(Expr):
     otherwise: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat(Expr):
     """Concatenation; ``parts`` are stored MSB-first (Verilog order)."""
 
     parts: Tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice(Expr):
     """``width`` bits of ``base`` starting at bit ``lsb`` (little-endian)."""
 
@@ -116,7 +116,7 @@ class Slice(Expr):
     lsb: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lut(Expr):
     """Read-only lookup table (inferred ROM): ``table[index]``.
 

@@ -16,12 +16,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """Base class of all AST expressions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Number(Expr):
     """Integer literal; ``width`` is ``None`` for unsized decimal literals."""
 
@@ -29,14 +29,14 @@ class Number(Expr):
     width: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident(Expr):
     """Reference to a net, register, port, parameter or genvar."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary(Expr):
     """Unary operator: ``~ - ! & | ^ ~& ~| ~^``."""
 
@@ -44,7 +44,7 @@ class Unary(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary(Expr):
     """Binary operator (arithmetic, bitwise, logical, relational, shift)."""
 
@@ -53,7 +53,7 @@ class Binary(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ternary(Expr):
     """Conditional operator ``cond ? then : otherwise``."""
 
@@ -62,14 +62,14 @@ class Ternary(Expr):
     otherwise: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat(Expr):
     """Concatenation ``{a, b, c}`` (MSB-first, as written)."""
 
     parts: Tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Repeat(Expr):
     """Replication ``{count{expr}}``."""
 
@@ -77,7 +77,7 @@ class Repeat(Expr):
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Index(Expr):
     """Single-bit select ``name[index]``."""
 
@@ -85,7 +85,7 @@ class Index(Expr):
     index: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeSelect(Expr):
     """Constant part select ``name[msb:lsb]``."""
 
@@ -99,19 +99,19 @@ class RangeSelect(Expr):
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """Base class of procedural statements."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block(Statement):
     """``begin ... end`` sequence."""
 
     statements: Tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment(Statement):
     """Procedural assignment; ``blocking`` selects ``=`` vs ``<=``."""
 
@@ -120,7 +120,7 @@ class Assignment(Statement):
     blocking: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(Statement):
     """``if``/``else`` statement; ``otherwise`` may be ``None``."""
 
@@ -129,7 +129,7 @@ class If(Statement):
     otherwise: Optional[Statement]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseItem:
     """One arm of a case statement; empty ``labels`` marks the default arm."""
 
@@ -137,7 +137,7 @@ class CaseItem:
     body: Statement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Statement):
     """``case``/``casez``/``casex`` statement."""
 
@@ -151,7 +151,7 @@ class Case(Statement):
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Range:
     """Packed range ``[msb:lsb]`` with unresolved bound expressions."""
 
@@ -159,7 +159,7 @@ class Range:
     lsb: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Port:
     """Port declaration.  ``direction`` is ``input``/``output``/``inout``."""
 
@@ -169,7 +169,7 @@ class Port:
     is_reg: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetDecl:
     """``wire``/``reg``/``integer`` declaration for one or more names."""
 
@@ -178,7 +178,7 @@ class NetDecl:
     range: Optional[Range] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamDecl:
     """``parameter`` or ``localparam`` declaration."""
 
@@ -187,7 +187,7 @@ class ParamDecl:
     local: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuousAssign:
     """``assign lhs = rhs;``"""
 
@@ -195,7 +195,7 @@ class ContinuousAssign:
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeEvent:
     """One event of a sensitivity list, e.g. ``posedge clk``."""
 
@@ -203,7 +203,7 @@ class EdgeEvent:
     signal: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Always:
     """``always @(...) statement``.
 
@@ -215,7 +215,7 @@ class Always:
     is_combinational: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortConnection:
     """A connection in an instantiation; ``port`` is ``None`` for positional."""
 
@@ -223,7 +223,7 @@ class PortConnection:
     expr: Optional[Expr]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """Module instantiation ``Type #(params) name (connections);``"""
 

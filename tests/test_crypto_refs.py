@@ -7,7 +7,57 @@ from repro.crypto.aes_ref import SBOX, aes128_encrypt_block, expand_key_128
 from repro.crypto.rsa_ref import mod_exp, mod_mul, rsa_decrypt, rsa_encrypt
 
 
+def _generate_sbox():
+    """Compute the AES S-box from the finite-field definition."""
+
+    def gf_mul(a: int, b: int) -> int:
+        product = 0
+        for _ in range(8):
+            if b & 1:
+                product ^= a
+            high = a & 0x80
+            a = (a << 1) & 0xFF
+            if high:
+                a ^= 0x1B
+            b >>= 1
+        return product
+
+    # Multiplicative inverses via exponentiation (a^254).
+    def gf_inverse(a: int) -> int:
+        if a == 0:
+            return 0
+        result = 1
+        base = a
+        exponent = 254
+        while exponent:
+            if exponent & 1:
+                result = gf_mul(result, base)
+            base = gf_mul(base, base)
+            exponent >>= 1
+        return result
+
+    sbox = []
+    for value in range(256):
+        inverse = gf_inverse(value)
+        transformed = 0
+        for bit in range(8):
+            new_bit = (
+                (inverse >> bit)
+                ^ (inverse >> ((bit + 4) % 8))
+                ^ (inverse >> ((bit + 5) % 8))
+                ^ (inverse >> ((bit + 6) % 8))
+                ^ (inverse >> ((bit + 7) % 8))
+                ^ (0x63 >> bit)
+            ) & 1
+            transformed |= new_bit << bit
+        sbox.append(transformed)
+    return tuple(sbox)
+
+
 class TestAesSbox:
+    def test_matches_the_finite_field_definition(self):
+        assert SBOX == _generate_sbox()
+
     def test_known_entries(self):
         assert SBOX[0x00] == 0x63
         assert SBOX[0x01] == 0x7C

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.rtl import exprs
 from repro.utils.bitvec import mask
+from repro.verilog import ast
+from repro.verilog.parser import parse_source
 
 
 def c(value, width):
@@ -57,6 +59,15 @@ class TestConstructors:
     def test_insert_bits_msb(self):
         value = ev(exprs.insert_bits(r("x", 8), 7, c(0b1, 1)), x=0)
         assert value == 0b1000_0000
+
+    def test_ir_and_ast_nodes_have_no_instance_dict(self):
+        # A batch keeps every elaborated design's nodes until it returns;
+        # slotted nodes carry no per-instance dict to build and free.
+        ir_node = exprs.Binop(width=4, op=exprs.BinaryOp.ADD, left=r("x", 4), right=c(1, 4))
+        module = parse_source("module m(input a, output y); assign y = ~a; endmodule").modules[0]
+        assign = next(item for item in module.items if isinstance(item, ast.ContinuousAssign))
+        for node in (ir_node, ir_node.left, ir_node.right, assign, assign.rhs, *module.ports):
+            assert not hasattr(node, "__dict__"), type(node).__name__
 
 
 class TestTraversal:

@@ -2,10 +2,13 @@
 
 ``IpcEngine.begin_check`` first merges the assumptions and asks whether the
 rebuilt instance's side of every commitment reads only leaves merged with
-instance 0's own.  If so the check is discharged with no AIG at all.  The
-rule is sound only if the bit-blast path, given the same check, discharges
-it structurally with the same merge count; the tests here reach that path
-by switching the settle off on one engine, inside the test.
+instance 0's own.  If so the commitments are proven with no AIG node built
+for them, and only the unmerged assumptions whose cones read another leaf
+are bit-blasted, to count them as clause constraints.  The rule is sound
+only if the bit-blast path, given the same check, reaches the same outcome
+(holds, structurally proven or not, the same merge and clause counts); the
+tests here reach that path by switching the settle off on one engine,
+inside the test.
 """
 
 import json
@@ -125,41 +128,59 @@ def _checks(draw):
     module.validate()
 
     prop = IntervalProperty(name="random")
-    if draw(st.booleans()):
-        # Every leaf merged at t, as the flow's properties do for a class.
-        for name in (*module.inputs, *registers):
-            prop.assume_equal(name, 0)
+    leaves = (*module.inputs, *registers)
+    merging = draw(st.sampled_from(("all", "all but one", "drawn")))
+    if merging != "drawn":
+        # Every leaf merged at t, as the flow's properties do for a class,
+        # or all but one, so that assumptions reading it are left over.
+        skipped = draw(st.sampled_from(leaves)) if merging == "all but one" else None
+        for name in leaves:
+            if name != skipped:
+                prop.assume_equal(name, 0)
     names = sorted(signals)
     for name in draw(st.lists(st.sampled_from(names), max_size=4)):
         prop.assume_equal(name, draw(st.integers(0, 1)))
-    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)):
+    for name in draw(st.lists(st.sampled_from(names), max_size=3)):
         prop.prove_equal(name, draw(st.integers(0, 1)))
-    prop.prove_equal(draw(st.sampled_from(names)), 1)
+    # Any signal at t+1, or a register, as the flow's properties commit.
+    final = draw(st.sampled_from((names, sorted(registers))))
+    prop.prove_equal(draw(st.sampled_from(final)), 1)
     return module, prop
 
 
-@settings(max_examples=300, deadline=None)
+_OUTCOME = ("holds", "structurally_proven", "merged_assumptions", "clause_assumptions")
+
+
+def _outcome(result):
+    return {field: getattr(result, field) for field in _OUTCOME}
+
+
+@settings(max_examples=600, deadline=None)
 @given(_checks())
 def test_whatever_the_rtl_settles_the_aig_discharges_structurally(check):
     module, prop = check
     settled = IpcEngine(module)
-    merged = settled._settle_on_rtl(prop, prop.window())
-    if merged is None:
+    planned = settled._settle_on_rtl(prop, prop.window())
+    if planned is None:
         return
+    merged, leftovers = planned
     result = settled.check(prop)
-    assert result.structurally_proven and result.merged_assumptions == merged
-    assert settled.pristine
+    assert result.holds and result.merged_assumptions == merged
+    assert result.clause_assumptions <= len(leftovers)
+    # Only leftover assumptions are bit-blasted, and never solved.
+    assert settled.pristine == (not leftovers)
+    assert settled.solver_context.solve_calls == 0
     blasted = _bit_blast_only(IpcEngine(module)).check(prop)
-    assert blasted.holds and blasted.structurally_proven
-    assert blasted.merged_assumptions == merged
-    assert blasted.clause_assumptions == 0
+    assert _outcome(result) == _outcome(blasted)
+    assert blasted.solver_calls == 0
 
 
 def test_the_settle_agrees_with_the_aig_on_every_cold_table1_check(monkeypatch):
     # With the settle off, and every engine treated as used so that each
     # failing class is re-settled on a new one, a cold Table I audit makes
     # the 200 checks of a flow that bit-blasts everything.  Each is also
-    # asked of the settle, which must fire only where the AIG discharges.
+    # asked of the settle, which must fire only where the AIG proves every
+    # commitment, with one clause constraint per assumption left over.
     settle = IpcEngine._settle_on_rtl
     begin = IpcEngine.begin_check
     checks = []
@@ -167,9 +188,9 @@ def test_the_settle_agrees_with_the_aig_on_every_cold_table1_check(monkeypatch):
     def recording_begin(self, prop):
         window = prop.window()
         planned, _ = self._merge_assumptions(prop, window, lambda target, source: True)
-        merged = settle(self, prop, window)
+        settled = settle(self, prop, window)
         prepared = begin(self, prop)
-        checks.append((merged, planned, prepared.result))
+        checks.append((settled, planned, prepared))
         return prepared
 
     monkeypatch.setattr(IpcEngine, "_settle_on_rtl", lambda self, prop, window: None)
@@ -178,12 +199,18 @@ def test_the_settle_agrees_with_the_aig_on_every_cold_table1_check(monkeypatch):
     BatchSession(design_names()).run()
 
     assert len(checks) == 200
-    assert all(result.merged_assumptions == planned for _, planned, result in checks)
-    fired = [(merged, result) for merged, _, result in checks if merged is not None]
-    assert len(fired) == 114
-    for merged, result in fired:
-        assert result.holds and result.structurally_proven
-        assert result.merged_assumptions == merged and result.clause_assumptions == 0
+    assert all(prepared.result.merged_assumptions == planned for _, planned, prepared in checks)
+    fired = [(settled, prepared) for settled, _, prepared in checks if settled is not None]
+    assert len(fired) == 144
+    for (merged, leftovers), prepared in fired:
+        result = prepared.result
+        assert prepared.discharged and result.holds
+        assert result.merged_assumptions == merged
+        assert result.clause_assumptions == len(leftovers)
+        assert result.structurally_proven == (not leftovers)
+    # AES-SEQ-T3000's 21 fanout classes and BasicRSA-HT-FREE's 9 each keep
+    # one assumption on an output at t that reads an unmerged leaf.
+    assert sorted(len(leftovers) for (_, leftovers), _ in fired) == [0] * 114 + [1] * 30
 
 
 def test_a_leaf_read_only_through_and_zero_is_left_to_the_aig():
@@ -207,27 +234,75 @@ def test_a_leaf_read_only_through_and_zero_is_left_to_the_aig():
     assert result.merged_assumptions == 1 and not engine.pristine
 
 
-def test_what_the_bit_blaster_rejects_is_left_to_it():
-    # An untampered modulo by a variable: equal on both instances, but the
-    # bit-blaster cannot lower it, and its error must still show.
-    module = elaborate_source(
-        """
-        module m(input clk, input [7:0] a, input [7:0] b, output [7:0] q);
-          reg [7:0] r;
-          always @(posedge clk) r <= a % b;
-          assign q = r;
-        endmodule
-        """,
-        "m",
+def test_a_leftover_assumption_masked_by_and_zero_folds_on_the_aig():
+    # ``m`` reads the unmerged ``s`` only through ``& 0``: the RTL walk
+    # leaves its assumption over, and the AIG folds it to TRUE.
+    module = Module("masked")
+    module.add_input("a", 4)
+    module.add_register("s", 4, exprs.ref("s", 4))
+    masked = exprs.Binop(width=4, op=exprs.BinaryOp.AND, left=exprs.ref("s", 4),
+                         right=exprs.const(0, 4))
+    module.add_comb(
+        "m", exprs.Binop(width=4, op=exprs.BinaryOp.ADD, left=exprs.ref("a", 4), right=masked)
     )
+    module.add_register("r", 4, exprs.ref("a", 4))
+    prop = IntervalProperty(name="masked")
+    prop.assume_equal("a", 0)
+    prop.assume_equal("m", 0)
+    prop.prove_equal("r", 1)
+    engine = IpcEngine(module)
+    merged, leftovers = engine._settle_on_rtl(prop, prop.window())
+    assert merged == 1 and [right.signal for _, right in leftovers] == ["m"]
+    result = engine.check(prop)
+    assert result.holds and result.structurally_proven
+    assert result.merged_assumptions == 1 and result.clause_assumptions == 0
+    assert _outcome(result) == _outcome(_bit_blast_only(IpcEngine(module)).check(prop))
+
+
+_MODULO = """
+module m(input clk, input [7:0] a, input [7:0] b, output [7:0] q);
+  wire [7:0] rem;
+  assign rem = a % b;
+  reg [7:0] r;
+  always @(posedge clk) r <= {next_state};
+  assign q = r;
+endmodule
+"""
+
+
+def test_what_the_bit_blaster_rejects_is_left_to_it():
+    # An untampered modulo by a variable, in the register's next state or
+    # read through a wire: equal on both instances, but the bit-blaster
+    # cannot lower it, and its error must still show.
+    for next_state in ("a % b", "rem"):
+        module = elaborate_source(_MODULO.format(next_state=next_state), "m")
+        prop = IntervalProperty(name="mod")
+        prop.assume_equal("a", 0)
+        prop.assume_equal("b", 0)
+        prop.prove_equal("r", 1)
+        engine = IpcEngine(module)
+        assert engine._settle_on_rtl(prop, prop.window()) is None, next_state
+        with pytest.raises(BitblastError, match="modulo"):
+            engine.check(prop)
+
+
+def test_a_leftover_assumption_the_bit_blaster_rejects_still_raises():
+    # Every commitment settles on the RTL, but the assumption on ``rem``
+    # is left over (its leaves are merged, the modulo is not blastable),
+    # and bit-blasting it must raise as it does on the bit-blast path.
+    module = elaborate_source(_MODULO.format(next_state="a"), "m")
     prop = IntervalProperty(name="mod")
     prop.assume_equal("a", 0)
     prop.assume_equal("b", 0)
+    prop.assume_equal("rem", 0)
     prop.prove_equal("r", 1)
     engine = IpcEngine(module)
-    assert engine._settle_on_rtl(prop, prop.window()) is None
+    merged, leftovers = engine._settle_on_rtl(prop, prop.window())
+    assert merged == 2 and [right.signal for _, right in leftovers] == ["rem"]
     with pytest.raises(BitblastError, match="modulo"):
         engine.check(prop)
+    with pytest.raises(BitblastError, match="modulo"):
+        _bit_blast_only(IpcEngine(module)).check(prop)
 
 
 def test_a_trojans_failing_commitment_is_never_settled_on_the_rtl(trojaned_module):
