@@ -21,20 +21,11 @@ from repro.trusthub import load_design, load_module  # noqa: E402
 
 
 def design_config(design, with_waivers: bool = True) -> DetectionConfig:
-    """The configuration a verification engineer would use for this benchmark.
-
-    Preprocessing is disabled here on purpose: these harnesses pin the
-    behaviour of the incremental *solving core* (clause reuse, per-check CNF
-    growth, SAT runtimes), which sim-first falsification would short-circuit
-    — the preprocessing pipeline has its own artefact script,
-    ``benchmarks/bench_simplify.py``.
-    """
+    """The configuration a verification engineer would use for this benchmark."""
     waivers = []
     if with_waivers:
         waivers = [Waiver(signal, "legitimate control state") for signal in design.recommended_waivers]
-    return DetectionConfig(
-        inputs=list(design.data_inputs), waivers=waivers, simplify=False
-    )
+    return DetectionConfig(inputs=list(design.data_inputs), waivers=waivers)
 
 
 def run_detection(name: str, with_waivers: bool = True):

@@ -10,8 +10,8 @@ unrolled divergence miter.  The stages:
    bit-parallel cone traversal; a pattern satisfying *all* goals is a
    genuine counterexample, returned (zero-minimized) as :attr:`PreprocessOutcome
    .sim_model` — the caller then never invokes the CDCL solver;
-2. otherwise fraig-sweep the goal cones (when ``fraig_rounds > 0``) and
-   return the rebuilt, usually smaller goal literals.
+2. otherwise fraig-sweep the goal cones (one refinement round) and return
+   the rebuilt, usually smaller goal literals.
 
 The preprocessor owns the lazily created :class:`PatternSet` and
 :class:`FraigContext`, so patterns (plus every refinement pattern learned
@@ -26,12 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.aig.aig import AIG
 from repro.aig.fraig import FraigContext
-from repro.aig.simvec import (
-    DEFAULT_PATTERNS,
-    PatternSet,
-    first_satisfying_index,
-    minimize_assignment,
-)
+from repro.aig.simvec import PatternSet, first_satisfying_index, minimize_assignment
 from repro.obs.trace import span as _span
 from repro.sat.context import SolverContext
 
@@ -59,34 +54,23 @@ class PreprocessOutcome:
 class Preprocessor:
     """Persistent preprocessing state over one shared AIG + solver context."""
 
-    def __init__(
-        self,
-        aig: AIG,
-        context: SolverContext,
-        sim_patterns: int = DEFAULT_PATTERNS,
-        fraig_rounds: int = 1,
-    ) -> None:
+    def __init__(self, aig: AIG, context: SolverContext) -> None:
         self._aig = aig
         self._context = context
-        self._sim_patterns = sim_patterns
-        self._fraig_rounds = fraig_rounds
         self._patterns: Optional[PatternSet] = None
         self._fraig: Optional[FraigContext] = None
 
     @property
     def patterns(self) -> PatternSet:
         if self._patterns is None:
-            self._patterns = PatternSet(self._sim_patterns)
+            self._patterns = PatternSet()
         return self._patterns
 
     @property
     def fraig(self) -> FraigContext:
         if self._fraig is None:
             self._fraig = FraigContext(
-                aig=self._aig,
-                context=self._context,
-                patterns=self.patterns,
-                rounds=self._fraig_rounds,
+                aig=self._aig, context=self._context, patterns=self.patterns
             )
         return self._fraig
 
@@ -106,13 +90,11 @@ class Preprocessor:
                     assignment = patterns.extract(aig, roots, index, cone=cone)
                     outcome.sim_model = minimize_assignment(aig, roots, assignment, cone=cone)
                 outcome.nodes_after = outcome.nodes_before
-            elif self._fraig_rounds > 0:
+            else:
                 with _span("fraig", cone_nodes=len(cone)):
                     swept, stats = self.fraig.sweep(roots, cone=cone)
                 outcome.roots = swept.roots
                 outcome.nodes_after = swept.nodes_after
                 outcome.merged_nodes = stats.merged_nodes
-            else:
-                outcome.nodes_after = outcome.nodes_before
         outcome.elapsed_seconds = _time.perf_counter() - started
         return outcome

@@ -13,9 +13,7 @@ A thin consumer of the session API (:mod:`repro.api`) with seven subcommands::
     repro-ht-detect submit --url http://127.0.0.1:8321 --benchmark RS232-T1000
 
 ``run`` audits one design (``--json`` emits the schema-versioned report,
-``--verbose`` streams per-property events as they settle;
-``--no-simplify`` / ``--sim-patterns`` / ``--fraig-rounds`` control the
-simulation-guided miter preprocessing, which is on by default; ``--mode
+``--verbose`` streams per-property events as they settle; ``--mode
 sequential`` switches to bounded design-vs-golden equivalence with
 ``--depth``/``--reset-value``/``--golden-top`` and ``--vcd`` waveform
 export of the multi-cycle counterexample), ``batch`` audits
@@ -171,31 +169,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         default=[],
         metavar="REG=VALUE",
         help="sequential mode: override one register's reset value (repeatable)",
-    )
-    parser.add_argument(
-        "--no-simplify",
-        action="store_true",
-        help="disable miter preprocessing (sim-first falsification and "
-             "fraig-style SAT sweeping); every obligation goes straight to "
-             "Tseitin + CDCL",
-    )
-    defaults = _CONFIG_DEFAULTS
-    parser.add_argument(
-        "--sim-patterns",
-        type=int,
-        default=defaults.sim_patterns,
-        metavar="N",
-        help=f"random patterns per bit-parallel simulation batch "
-             f"(default: {defaults.sim_patterns})",
-    )
-    parser.add_argument(
-        "--fraig-rounds",
-        type=int,
-        default=defaults.fraig_rounds,
-        metavar="N",
-        help=f"counterexample-guided refinement rounds of the fraig sweep "
-             f"(default: {defaults.fraig_rounds}; 0 keeps sim-first "
-             f"falsification but disables SAT sweeping)",
     )
 
 
@@ -428,9 +401,6 @@ def _shared_config_kwargs(args: argparse.Namespace) -> dict:
         mode=args.mode,
         depth=args.depth,
         reset_values=_parse_reset_values(args.reset_value),
-        simplify=not args.no_simplify,
-        sim_patterns=args.sim_patterns,
-        fraig_rounds=args.fraig_rounds,
         trace=bool(getattr(args, "trace", None)) or bool(getattr(args, "profile", False)),
         task_retries=args.task_retries,
         check_timeout_s=args.check_timeout,

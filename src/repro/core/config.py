@@ -95,12 +95,6 @@ class DetectionConfig:
         earlier properties of the same run are assumed, so soundness is
         unaffected, and structural false alarms caused by cross-class fanin
         disappear.  Set to false for the strict, paper-literal property shape.
-    assume_inputs_at_prove_time:
-        When true (default), every property additionally assumes input
-        equality at the prove time point ``t+1``.  The miter of Fig. 2 feeds
-        both instances the same input stream, so the assumption is part of the
-        computational model; it only matters for outputs with a combinational
-        input path.
     waivers:
         Manually disqualified dependencies (Sec. V-B scenario 2).
     stop_at_first_failure:
@@ -142,24 +136,6 @@ class DetectionConfig:
         (register name -> value); registers without an override start at
         their declared reset value, or 0.  Ignored by the combinational
         mode.
-    simplify:
-        When true (default), every property miter is preprocessed before
-        the SAT solver sees it (:mod:`repro.aig` simvec/simplify/fraig):
-        bit-parallel random simulation falsifies tampered cones outright
-        (a counterexample with zero CDCL calls), and fraig-style SAT
-        sweeping merges simulation-equivalent nodes so the remaining
-        obligations encode smaller CNF.  ``False`` (the CLI's
-        ``--no-simplify``) sends every miter straight to Tseitin + CDCL.
-        Verdicts, counterexamples and coverage are identical either way —
-        only the performance telemetry differs.
-    sim_patterns:
-        Patterns per random-simulation batch (>= 1; default 64, one
-        machine word).  More patterns falsify/refine more cones per batch
-        at proportional simulation cost.
-    fraig_rounds:
-        Counterexample-guided refinement rounds of the fraig sweep per
-        preprocessed cone (>= 0; 0 disables SAT sweeping but keeps
-        sim-first falsification).
     trace:
         When true, the run records hierarchical spans (:mod:`repro.obs`):
         worker chunks collect per-phase timings and ship them back with
@@ -184,7 +160,6 @@ class DetectionConfig:
 
     inputs: Optional[Sequence[str]] = None
     cumulative_assumptions: bool = True
-    assume_inputs_at_prove_time: bool = True
     waivers: List[Waiver] = field(default_factory=list)
     stop_at_first_failure: bool = True
     max_class: Optional[int] = None
@@ -194,9 +169,6 @@ class DetectionConfig:
     mode: str = "combinational"
     depth: int = 10
     reset_values: Optional[Dict[str, int]] = None
-    simplify: bool = True
-    sim_patterns: int = 64
-    fraig_rounds: int = 1
     trace: bool = False
     task_retries: int = 2
     check_timeout_s: Optional[float] = None
@@ -214,10 +186,6 @@ class DetectionConfig:
                 f"available: {', '.join(DETECTION_MODES)}"
             )
         _require_int(self.depth, "depth", 1)
-        if not isinstance(self.simplify, bool):
-            raise ConfigError(f"simplify must be a bool, got {self.simplify!r}")
-        _require_int(self.sim_patterns, "sim_patterns", 1)
-        _require_int(self.fraig_rounds, "fraig_rounds", 0)
         if not isinstance(self.trace, bool):
             raise ConfigError(f"trace must be a bool, got {self.trace!r}")
         _require_int(self.task_retries, "task_retries", 0)
@@ -254,7 +222,6 @@ class DetectionConfig:
         return {
             "inputs": list(self.inputs) if self.inputs is not None else None,
             "cumulative_assumptions": self.cumulative_assumptions,
-            "assume_inputs_at_prove_time": self.assume_inputs_at_prove_time,
             "waivers": [
                 {"signal": waiver.signal, "reason": waiver.reason}
                 for waiver in self.waivers
@@ -267,9 +234,6 @@ class DetectionConfig:
             "mode": self.mode,
             "depth": self.depth,
             "reset_values": dict(self.reset_values) if self.reset_values is not None else None,
-            "simplify": self.simplify,
-            "sim_patterns": self.sim_patterns,
-            "fraig_rounds": self.fraig_rounds,
             "trace": self.trace,
             "task_retries": self.task_retries,
             "check_timeout_s": self.check_timeout_s,

@@ -120,12 +120,7 @@ class TrojanDetectionFlow:
         the run encoded and learned.
         """
         if self._lazy_engine is None:
-            self._lazy_engine = IpcEngine(
-                self._module,
-                simplify=self._config.simplify,
-                sim_patterns=self._config.sim_patterns,
-                fraig_rounds=self._config.fraig_rounds,
-            )
+            self._lazy_engine = IpcEngine(self._module)
         return self._lazy_engine
 
     # ------------------------------------------------------------------ #

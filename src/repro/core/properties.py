@@ -58,11 +58,9 @@ def _add_common_assumptions(
     data_inputs: Iterable[str],
     prove_time: int,
 ) -> None:
-    for name in data_inputs:
-        prop.assume_equal(name, 0)
-    if config.assume_inputs_at_prove_time:
+    for time in (0, prove_time):
         for name in data_inputs:
-            prop.assume_equal(name, prove_time)
+            prop.assume_equal(name, time)
     for waiver in config.waivers:
         if waiver.signal not in module.signals:
             raise PropertyError(f"waiver references unknown signal {waiver.signal!r}")
@@ -129,8 +127,8 @@ def build_trojan_property(
 ) -> IntervalProperty:
     """The monolithic trojan property of Fig. 3 (used by the ablation study).
 
-    ``assume``: equal inputs at time t (and, per the miter model, at every
-    later time point of the window when ``assume_inputs_at_prove_time``).
+    ``assume``: equal inputs at time t and, per the miter model, at every
+    later time point of the window.
     ``prove``:  ``fanouts_CCk`` equal at time t+k for every class k.
 
     The decomposed init/fanout properties are the scalable equivalent
@@ -147,12 +145,9 @@ def build_trojan_property(
         name="trojan_property",
         description="aggregate interval property of Fig. 3",
     )
-    for name in assumed_inputs:
-        prop.assume_equal(name, 0)
-    if config.assume_inputs_at_prove_time:
-        for time in range(1, depth + 1):
-            for name in assumed_inputs:
-                prop.assume_equal(name, time)
+    for time in range(depth + 1):
+        for name in assumed_inputs:
+            prop.assume_equal(name, time)
     for waiver in config.waivers:
         prop.assume_equal(waiver.signal, 0)
     for k in range(1, depth + 1):

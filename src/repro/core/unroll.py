@@ -25,7 +25,10 @@ per common output*) and by the standalone BMC baseline
   encodes the new cones and reuses every clause — and everything the solver
   learned — from earlier checks;
 * per-check miters are passed as solver *assumptions*, never asserted, so
-  one output's counterexample cannot constrain the next output's check.
+  one output's counterexample cannot constrain the next output's check;
+* before the solver sees a miter, random simulation tries to falsify it and
+  fraig sweeping shrinks it (:mod:`repro.aig.preprocess`, shared with the
+  IPC engine).
 
 A divergence witness is returned as a multi-cycle
 :class:`repro.ipc.cex.CounterExample`: instance 0 is the design, instance 1
@@ -42,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.aig import AIG, FALSE
 from repro.aig.preprocess import Preprocessor
-from repro.aig.simvec import DEFAULT_PATTERNS
 from repro.errors import ConfigError, DesignError
 from repro.ipc.cex import CounterExample
 from repro.ipc.transition import SymbolicFrame, TransitionEncoder
@@ -149,9 +151,6 @@ class SequentialUnroller:
         design: Module,
         golden: Module,
         reset_values: Optional[Dict[str, int]] = None,
-        simplify: bool = False,
-        sim_patterns: int = DEFAULT_PATTERNS,
-        fraig_rounds: int = 1,
     ) -> None:
         missing = [name for name in golden.inputs if name not in design.inputs]
         if missing:
@@ -173,9 +172,6 @@ class SequentialUnroller:
         # pattern assigns *every* unrolled input (i.e. it is a whole input
         # sequence), and merges proved while sweeping frame k keep shrinking
         # the cones of every deeper frame and later output class.
-        self._simplify = simplify
-        self._sim_patterns = sim_patterns
-        self._fraig_rounds = fraig_rounds
         self._preprocessor: Optional[Preprocessor] = None
 
     # ------------------------------------------------------------------ #
@@ -332,17 +328,15 @@ class SequentialUnroller:
             result.runtime_seconds = _time.perf_counter() - started
             return result
 
-        goal_root = miter
-        if self._simplify:
-            sim_model, goal_root = self._preprocess(result, miter)
-            if sim_model is not None:
-                # A random input sequence already separates the two models:
-                # divergence is witnessed with zero CDCL calls.
-                result.holds = False
-                self._locate_divergence(result, difference_by_cycle, sim_model)
-                result.cex = self._build_counterexample(result, sim_model)
-                result.runtime_seconds = _time.perf_counter() - started
-                return result
+        sim_model, goal_root = self._preprocess(result, miter)
+        if sim_model is not None:
+            # A random input sequence already separates the two models:
+            # divergence is witnessed with zero CDCL calls.
+            result.holds = False
+            self._locate_divergence(result, difference_by_cycle, sim_model)
+            result.cex = self._build_counterexample(result, sim_model)
+            result.runtime_seconds = _time.perf_counter() - started
+            return result
 
         goal = self._context.literal_of(goal_root)
         outcome = self._context.solve([goal], deadline_s=deadline_s)
@@ -365,12 +359,7 @@ class SequentialUnroller:
 
     def _get_preprocessor(self) -> Preprocessor:
         if self._preprocessor is None:
-            self._preprocessor = Preprocessor(
-                self._aig,
-                self._context,
-                sim_patterns=self._sim_patterns,
-                fraig_rounds=self._fraig_rounds,
-            )
+            self._preprocessor = Preprocessor(self._aig, self._context)
         return self._preprocessor
 
     def _preprocess(

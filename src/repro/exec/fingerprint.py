@@ -168,15 +168,6 @@ def config_fingerprint(config: DetectionConfig) -> str:
     hasher = _Hasher()
     hasher.feed("config")
     hasher.feed(f"mode/{config.mode}")
-    # The preprocessing switch affects both modes: it decides whether a class
-    # record carries simulation or solver telemetry, so records of simplified
-    # and unsimplified runs must never alias (verdicts and witnesses are
-    # identical either way, but the telemetry contract is per-configuration).
-    # The batch/round knobs are inert with simplify off — hashing them then
-    # would only make warm --no-simplify caches go cold.
-    hasher.feed(f"simplify/{config.simplify}")
-    if config.simplify:
-        hasher.feed(f"sim/{config.sim_patterns}/{config.fraig_rounds}")
     # The wall-clock deadline decides whether a hard class settles at all
     # (timeout outcomes are never cached, but a deadline also changes the
     # partial telemetry of every class that races it), so runs with
@@ -191,7 +182,6 @@ def config_fingerprint(config: DetectionConfig) -> str:
         inputs = list(config.inputs) if config.inputs is not None else None
         hasher.feed(f"inputs/{inputs!r}")
         hasher.feed(f"cumulative/{config.cumulative_assumptions}")
-        hasher.feed(f"assume-inputs/{config.assume_inputs_at_prove_time}")
         hasher.feed("waivers")
         for signal in sorted(config.waived_signals()):
             hasher.feed(signal)

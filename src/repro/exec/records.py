@@ -262,7 +262,7 @@ _VOLATILE_OUTCOME_KEYS = (
     "solver_calls",
     # Preprocessing telemetry: whether simulation or the solver produced a
     # result (and how much sweeping shrank a cone) legitimately depends on
-    # the preprocessing flags and on accumulated per-worker pattern state.
+    # accumulated per-worker pattern state.
     "sim_falsified",
     "nodes_before",
     "nodes_after",

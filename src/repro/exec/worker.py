@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import time as _time
 from contextlib import nullcontext as _nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aig.simvec import DEFAULT_PATTERNS
 from repro.core.config import DetectionConfig
 from repro.core.falsealarm import diagnose_counterexample
 from repro.core.properties import build_fanout_property, build_init_property
@@ -40,50 +39,6 @@ from repro.ipc.prop import IntervalProperty
 from repro.rtl.fanout import FanoutAnalysis, compute_fanout_classes
 from repro.rtl.ir import Module
 from repro.rtl.netlist import DependencyGraph
-
-
-#: Preprocessing settings of the *canonical witness settle*.  Any class that
-#: produced a counterexample (terminal or auto-resolved spurious rounds) is
-#: re-settled on a fresh, single-use context with exactly these settings, so
-#: the reported witness depends only on (module, semantic config, class
-#: index) — never on worker sharding, on accumulated solver state, or on
-#: whether the user ran with ``--no-simplify``.  Fixed constants rather than
-#: the user's own knobs: two runs that differ only in preprocessing flags
-#: must report byte-identical counterexamples.
-CANONICAL_SIM_PATTERNS = DEFAULT_PATTERNS
-CANONICAL_FRAIG_ROUNDS = 1
-
-
-def canonical_witness_config(config: DetectionConfig) -> DetectionConfig:
-    """The config of the canonical witness settle for ``config``."""
-    return replace(
-        config,
-        simplify=True,
-        sim_patterns=CANONICAL_SIM_PATTERNS,
-        fraig_rounds=CANONICAL_FRAIG_ROUNDS,
-    )
-
-
-#: The same settings as an engine reports them (:attr:`IpcEngine.preprocessing`).
-_CANONICAL_PREPROCESSING = (True, CANONICAL_SIM_PATTERNS, CANONICAL_FRAIG_ROUNDS)
-
-
-def _has_canonical_settings(config: DetectionConfig) -> bool:
-    return (config.simplify, config.sim_patterns, config.fraig_rounds) == _CANONICAL_PREPROCESSING
-
-
-def _clear_preprocess_telemetry(result: PropertyCheckResult) -> None:
-    """Drop preprocessing telemetry a ``--no-simplify`` run must not show.
-
-    The canonical witness settle always preprocesses (that is what makes it
-    canonical); its sim/sweep counters are an implementation detail of
-    witness canonicalization, not of the user's run.
-    """
-    result.sim_falsified = False
-    result.nodes_before = 0
-    result.nodes_after = 0
-    result.merged_nodes = 0
-    result.sweep_seconds = 0.0
 
 
 @dataclass
@@ -176,12 +131,7 @@ class DesignWorkContext:
     @property
     def engine(self) -> IpcEngine:
         if self._engine is None:
-            self._engine = IpcEngine(
-                self._module,
-                simplify=self._config.simplify,
-                sim_patterns=self._config.sim_patterns,
-                fraig_rounds=self._config.fraig_rounds,
-            )
+            self._engine = IpcEngine(self._module)
         return self._engine
 
     @property
@@ -194,12 +144,7 @@ class DesignWorkContext:
                     f"{self._unit.name!r} (none was provided)"
                 )
             self._unroller = SequentialUnroller(
-                self._module,
-                self._unit.golden,
-                reset_values=self._config.reset_values,
-                simplify=self._config.simplify,
-                sim_patterns=self._config.sim_patterns,
-                fraig_rounds=self._config.fraig_rounds,
+                self._module, self._unit.golden, reset_values=self._config.reset_values
             )
         return self._unroller
 
@@ -245,23 +190,20 @@ class DesignWorkContext:
         Fast path: settle against this context's shared incremental solver
         state.  If that produced *any* counterexample (a terminal failure or
         auto-resolved spurious rounds), the class is re-settled on a fresh,
-        single-use context with the *canonical witness settings*
-        (:func:`canonical_witness_config`): which satisfying assignment a
-        CDCL search finds depends on everything the solver learned before,
-        and which pattern a simulation batch trips over depends on every
-        refinement pattern fraig accumulated — so a shared-context
-        counterexample would vary with worker sharding and with the
-        preprocessing flags.  The canonical re-settle depends only on
+        single-use context of the same unit — the *canonical witness
+        settle*: which satisfying assignment a CDCL search finds depends on
+        everything the solver learned before, and which pattern a
+        simulation batch trips over depends on every refinement pattern
+        fraig accumulated, so a shared-context counterexample would vary
+        with worker sharding.  The canonical re-settle depends only on
         (module, semantic config, class index), making counterexamples,
         diagnoses and spurious-round counts identical for every ``jobs``
-        setting *and* for ``--no-simplify`` vs the default — the determinism
-        the report contract, the result cache and the simplify-equivalence
-        guarantee all rely on.  Classes that simply hold (the overwhelming
-        majority) never pay for it, and neither does a class whose fast path
-        ran on an engine that had built nothing yet, with canonical settings
-        — that settle *is* the canonical one.  Classes settled on the RTL
-        build nothing, so a serial audit settles its first failing class
-        once, on the flow's own engine.
+        setting — the determinism the report contract and the result cache
+        rely on.  Classes that simply hold (the overwhelming majority) never
+        pay for it, and neither does a class whose fast path ran on an
+        engine that had built nothing yet — that settle *is* the canonical
+        one.  Classes settled on the RTL build nothing, so a serial audit
+        settles its first failing class once, on the flow's own engine.
         """
         if self._config.mode == "sequential":
             kind = "sequential"
@@ -276,15 +218,12 @@ class DesignWorkContext:
         """True when a settle now is itself the canonical witness settle.
 
         That holds while the context's solver state is as new: no
-        sequential unroller yet, or an IPC engine, provided or not, that has
-        built nothing (:attr:`IpcEngine.pristine`) and checks with the
-        canonical settings.
+        sequential unroller yet, or no IPC engine yet, or one, provided or
+        not, that has built nothing (:attr:`IpcEngine.pristine`).
         """
         if self._config.mode == "sequential":
-            return self._unroller is None and _has_canonical_settings(self._config)
-        if self._engine is None:
-            return _has_canonical_settings(self._config)
-        return self._engine.pristine and self._engine.preprocessing == _CANONICAL_PREPROCESSING
+            return self._unroller is None
+        return self._engine is None or self._engine.pristine
 
     def _settle_class_inner(self, k: int) -> ClassResult:
         canonical_already = self._settles_canonically()
@@ -299,11 +238,8 @@ class DesignWorkContext:
         try:
             result = self._settle_once(k, deadline_s=deadline_s)
             if (result.rounds or result.terminal == "cex") and not canonical_already:
-                canonical_unit = replace(
-                    self._unit, config=canonical_witness_config(self._config)
-                )
                 canonical = DesignWorkContext(
-                    canonical_unit, analysis=self._analysis, graph=self._graph
+                    self._unit, analysis=self._analysis, graph=self._graph
                 )
                 result = canonical._settle_once(k, deadline_s=deadline_s)
                 # The re-proof's solver work happened on the canonical engine;
@@ -318,8 +254,6 @@ class DesignWorkContext:
             # *inconclusive* timeout outcome with partial telemetry instead
             # of aborting the run.
             return self._timeout_result(k, elapsed_s=_time.perf_counter() - started)
-        if not self._config.simplify:
-            _clear_preprocess_telemetry(result.outcome.result)
         return result
 
     def _timeout_result(self, k: int, elapsed_s: float) -> ClassResult:

@@ -22,8 +22,10 @@ The check of an interval property proceeds in four stages:
    commitment whose two sides reduce to the same literal vector is proven
    without touching the SAT solver.
 4. *SAT search.*  Remaining commitments form a miter (OR of bit differences)
-   which is checked together with the non-merged assumptions by the CDCL
-   solver.  A satisfying assignment is turned into a readable
+   which is checked together with the non-merged assumptions: first by
+   random simulation, which may falsify it outright, then by fraig sweeping
+   and the CDCL solver (:mod:`repro.aig.preprocess`).  A satisfying
+   assignment is turned into a readable
    :class:`repro.ipc.cex.CounterExample`.
 """
 
@@ -36,7 +38,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 from repro.aig.aig import FALSE, TRUE, negate
 from repro.aig.bitblast import Vector
 from repro.aig.preprocess import Preprocessor
-from repro.aig.simvec import DEFAULT_PATTERNS
 from repro.errors import PropertyError
 from repro.ipc.cex import CounterExample
 from repro.ipc.prop import Equality, IntervalProperty, Term
@@ -121,7 +122,7 @@ class PropertyCheckResult:
     # whether bit-parallel random simulation falsified the miter without any
     # CDCL call, the miter-cone size before and after the fraig sweep, the
     # number of proven node merges substituted, and the preprocessing wall
-    # time.  All zero/False when the check ran with simplification off.
+    # time.  All zero/False when the check needed no SAT obligation.
     sim_falsified: bool = False
     nodes_before: int = 0
     nodes_after: int = 0
@@ -181,9 +182,6 @@ class IpcEngine:
         self,
         module: Module,
         persistent_instances: Tuple[int, ...] = (0,),
-        simplify: bool = False,
-        sim_patterns: int = DEFAULT_PATTERNS,
-        fraig_rounds: int = 1,
     ) -> None:
         self._module = module
         self._encoder = TransitionEncoder(module)
@@ -199,9 +197,6 @@ class IpcEngine:
         # Preprocessing state shares the engine's lifetime too: patterns
         # (plus every refinement pattern fraig learned) and proven merges
         # keep helping across all checks of the run.
-        self._simplify = simplify
-        self._sim_patterns = sim_patterns
-        self._fraig_rounds = fraig_rounds
         self._preprocessor: Optional[Preprocessor] = None
         # The RTL settle's signal reads (None: the bit-blaster rejects the
         # driver), looked up once per signal for the engine's lifetime.
@@ -221,18 +216,13 @@ class IpcEngine:
         return self._context
 
     @property
-    def preprocessing(self) -> Tuple[bool, int, int]:
-        """The engine's (simplify, sim_patterns, fraig_rounds) settings."""
-        return (self._simplify, self._sim_patterns, self._fraig_rounds)
-
-    @property
     def pristine(self) -> bool:
         """True while the engine has built nothing that could steer a check.
 
         No AIG node beyond the constant, no persistent frame, no solver
         call and no preprocessor: a check now runs exactly as on a new
-        engine with the same settings.  Checks settled on the RTL with no
-        assumption left to bit-blast keep an engine pristine.
+        engine.  Checks settled on the RTL with no assumption left to
+        bit-blast keep an engine pristine.
         """
         return (
             self._encoder.aig.num_nodes == 1
@@ -366,8 +356,7 @@ class IpcEngine:
                 if miter != FALSE:
                     prepared.miter = miter
                     prepared.needs_sat = True
-                    if self._simplify:
-                        self._preprocess(prepared)
+                    self._preprocess(prepared)
         prepared.prepare_seconds = _time.perf_counter() - started
         result.runtime_seconds = prepared.prepare_seconds
         return prepared
@@ -378,12 +367,7 @@ class IpcEngine:
 
     def _get_preprocessor(self) -> Preprocessor:
         if self._preprocessor is None:
-            self._preprocessor = Preprocessor(
-                self._encoder.aig,
-                self._context,
-                sim_patterns=self._sim_patterns,
-                fraig_rounds=self._fraig_rounds,
-            )
+            self._preprocessor = Preprocessor(self._encoder.aig, self._context)
         return self._preprocessor
 
     def _preprocess(self, prepared: PreparedCheck) -> None:

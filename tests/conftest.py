@@ -42,6 +42,25 @@ module pipe(
 endmodule
 """
 
+# The same bit-flip payload behind one value of a 32-bit counter: random
+# simulation never hits the trigger and fraig cannot sweep the miter away,
+# so the tampered class is settled by a real CDCL search.
+SAT_TROJAN_SOURCE = """
+module pipe(
+  input clk,
+  input  [7:0] din,
+  output [7:0] dout
+);
+  reg [7:0] s1;
+  reg [31:0] trig;
+  always @(posedge clk) begin
+    s1 <= din ^ 8'h5a;
+    trig <= trig + 32'h1;
+  end
+  assign dout = (trig == 32'hdeadbeef) ? (s1 ^ 8'hff) : s1;
+endmodule
+"""
+
 UNCOVERED_TROJAN_SOURCE = """
 module pipe(
   input clk,
@@ -94,6 +113,12 @@ def pipeline_module():
 def trojaned_module():
     """The same pipeline with a counter-triggered output bit-flip Trojan."""
     return elaborate_source(TROJANED_PIPELINE_SOURCE, "pipe")
+
+
+@pytest.fixture
+def sat_trojan_module():
+    """A pipeline whose Trojan only the CDCL solver finds (see SAT_TROJAN_SOURCE)."""
+    return elaborate_source(SAT_TROJAN_SOURCE, "pipe")
 
 
 @pytest.fixture

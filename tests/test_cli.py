@@ -457,9 +457,10 @@ class TestSolverFlags:
         assert exit_info.value.code == 0
         help_text = capsys.readouterr().out
         for flag in ("--no-split", "--split-conflicts", "--split-depth",
-                     "--no-inprocess", "--sim-backend"):
+                     "--no-inprocess", "--sim-backend", "--no-simplify",
+                     "--sim-patterns", "--fraig-rounds"):
             assert flag not in help_text
-        assert "--no-simplify" in help_text
+        assert "--check-timeout" in help_text
 
     @pytest.mark.parametrize("command", ["run", "batch", "submit"])
     def test_help_lists_no_solver_backend_flag(self, command, capsys):

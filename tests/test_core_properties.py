@@ -38,12 +38,6 @@ class TestInitProperty:
         prop = build_init_property(pipeline_module, analysis)
         assert "din" in assumed_signals(prop, time=1)
 
-    def test_inputs_at_prove_time_can_be_disabled(self, pipeline_module):
-        analysis = compute_fanout_classes(pipeline_module)
-        config = DetectionConfig(assume_inputs_at_prove_time=False)
-        prop = build_init_property(pipeline_module, analysis, config)
-        assert assumed_signals(prop, time=1) == set()
-
     def test_waivers_become_assumptions(self, trojaned_module):
         analysis = compute_fanout_classes(trojaned_module)
         config = DetectionConfig(waivers=[Waiver("trig", "known benign")])

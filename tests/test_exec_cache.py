@@ -78,7 +78,6 @@ class TestFingerprints:
         base = config_fingerprint(DetectionConfig())
         assert base != config_fingerprint(DetectionConfig(inputs=["a"]))
         assert base != config_fingerprint(DetectionConfig(cumulative_assumptions=False))
-        assert base != config_fingerprint(DetectionConfig(assume_inputs_at_prove_time=False))
         assert base != config_fingerprint(DetectionConfig(waivers=[Waiver("x")]))
 
     def test_config_fingerprint_ignores_execution_only_fields(self):
@@ -103,7 +102,6 @@ class TestFingerprints:
     _SEMANTIC_MUTATIONS = [
         (dict(), dict(inputs=["a"])),
         (dict(), dict(cumulative_assumptions=False)),
-        (dict(), dict(assume_inputs_at_prove_time=False)),
         (dict(), dict(waivers=[Waiver("x")])),
         (dict(), dict(mode="sequential")),
         (dict(mode="sequential"), dict(mode="sequential", depth=11)),
@@ -111,12 +109,6 @@ class TestFingerprints:
             dict(mode="sequential"),
             dict(mode="sequential", reset_values={"count": 1}),
         ),
-        # Preprocessing knobs: verdicts and witnesses are identical either
-        # way, but the telemetry a record carries (sim vs solver counters)
-        # is per-configuration, so simplified and plain runs never alias.
-        (dict(), dict(simplify=False)),
-        (dict(), dict(sim_patterns=128)),
-        (dict(), dict(fraig_rounds=2)),
         # A check deadline changes which classes settle vs. degrade to an
         # inconclusive timeout outcome, so timed and untimed runs (and runs
         # with different deadlines) must never share cache entries.

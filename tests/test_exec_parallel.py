@@ -63,6 +63,26 @@ module widget(input clk, input [7:0] d, output [7:0] q);
 endmodule
 """
 
+# A Trojan random simulation misses (one value of a 32-bit counter), behind
+# an init class whose adder identity only SAT proves: the init class builds
+# the engine's AIG, so the failing class is re-settled canonically on a
+# fresh engine, with a CDCL search of its own.
+SAT_TROJANED_SOURCE = """
+module widget(input clk, input [7:0] d, output [7:0] q);
+  reg [7:0] s1;
+  reg [7:0] pad;
+  reg [7:0] s2;
+  reg [31:0] bomb;
+  always @(posedge clk) begin
+    s1 <= d ^ 8'h5a;
+    pad <= (d + pad) - pad;
+    s2 <= s1 + pad;
+    bomb <= bomb + 32'h1;
+  end
+  assign q = (bomb == 32'hdeadbeef) ? ~s2 : s2;
+endmodule
+"""
+
 
 class TestSharding:
     def test_serial_shards_per_class(self):
@@ -292,31 +312,13 @@ class TestParallelDeterminism:
         # The canonical fresh-context re-settle of a failing class is real
         # solver work; the report-level counters must include it, so they
         # are never smaller than what the per-outcome results claim.
-        # simplify=False keeps the per-outcome counters non-zero (with the
-        # default preprocessing, random simulation falsifies the tampered
-        # class with zero CDCL calls).
-        report = _session_report(TROJANED_SOURCE, jobs=1, simplify=False)
+        report = _session_report(SAT_TROJANED_SOURCE, jobs=1)
         assert report.trojan_detected
-        # The failing class's *outcome* is the canonical witness settle
-        # (which random simulation may satisfy with zero CDCL calls), but
-        # the run-level counters still cover the fast path's real search.
+        # The failing class's *outcome* is the canonical witness settle, but
+        # the run-level counters also cover the fast path's search.
         per_outcome = sum(o.result.solver_calls for o in report.outcomes)
         assert report.solver_calls >= per_outcome
         assert report.solver_calls > 0
-
-    def test_simplify_modes_report_identical_results(self):
-        # --no-simplify must change performance telemetry only: verdicts,
-        # counterexamples and diagnoses are canonical either way.
-        default = _session_report(TROJANED_SOURCE, jobs=1)
-        plain = _session_report(TROJANED_SOURCE, jobs=1, simplify=False)
-        assert default.counterexample.values == plain.counterexample.values
-        assert normalized_report_dict(default.to_dict()) == normalized_report_dict(
-            plain.to_dict()
-        )
-        # A --no-simplify report never shows preprocessing telemetry, even
-        # though witness canonicalization preprocesses internally.
-        assert plain.preprocess_sim_falsified == 0
-        assert default.preprocess_sim_falsified > 0
 
     def test_check_all_settles_every_class_in_parallel(self):
         serial = _session_report(TROJANED_SOURCE, jobs=1, stop_at_first_failure=False)

@@ -38,9 +38,10 @@ endmodule
 
 # The init property of this design must prove that ``(d + pad) - pad``
 # cancels — an arithmetic identity the AIG's structural hashing cannot
-# fold — so class 0 reaches the CDCL solver even on a secure run.  That
-# makes it the target for the solver_stall fault: the stalled call is a
-# *real* check, not an artifact of the harness.
+# fold — so class 0 reaches the SAT solver even on a secure run: fraig's
+# bounded proofs sweep its miter, then the class's own CDCL call settles
+# it.  That call is the target for the solver_stall fault: the stalled call
+# is a *real* check, not an artifact of the harness.
 STALL_SOURCE = """
 module widget(input clk, input [7:0] d, output [7:0] q);
   reg [7:0] s1;
@@ -92,8 +93,19 @@ def _run_sequential(**overrides):
         STALL_SOURCE, top="widget", golden_top="widget_golden",
         golden_source=STALL_GOLDEN_SOURCE,
     )
-    config = DetectionConfig(mode="sequential", depth=3, simplify=False, **overrides)
+    config = DetectionConfig(mode="sequential", depth=3, **overrides)
     return DetectionSession(design, config=config).run()
+
+
+def _stall_own_check(clean_report) -> FaultPlan:
+    """A plan that stalls the stall class's own CDCL call.
+
+    Fraig's bounded proofs run on the same solver first and count as
+    ``solver_stall@check:N`` occurrences too, but carry no deadline.  The
+    class's own call, which carries the deadline, is the last SAT call of
+    the design's clean run.
+    """
+    return parse_fault_plan(f"solver_stall@check:{clean_report.solver_calls}")
 
 
 # ---------------------------------------------------------------------- #
@@ -236,14 +248,11 @@ class TestWorkerSupervision:
 
 class TestCheckDeadline:
     def test_stalled_check_degrades_to_timeout_outcome(self):
-        # The first SAT check stalls past the deadline; the class must
-        # settle as an inconclusive timeout while the rest of the run
-        # completes normally.  simplify=False keeps preprocessing from
-        # consuming the planned stall occurrence.
-        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
-        report = _run(
-            source=STALL_SOURCE, jobs=1, simplify=False, check_timeout_s=2.0
-        )
+        # The init class's CDCL call stalls past the deadline; the class
+        # must settle as an inconclusive timeout while the rest of the run
+        # completes normally.
+        faults.set_plan(_stall_own_check(_run(source=STALL_SOURCE, jobs=1)))
+        report = _run(source=STALL_SOURCE, jobs=1, check_timeout_s=2.0)
         assert report.verdict is Verdict.INCONCLUSIVE
         statuses = [outcome.status for outcome in report.outcomes]
         assert statuses[0] == "timeout"
@@ -256,19 +265,18 @@ class TestCheckDeadline:
     def test_untimed_runs_are_unaffected_by_a_bounded_stall(self):
         # Without check_timeout_s the stall seam is bounded: the run is
         # slower but semantically untouched.
-        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
-        stalled = _run(source=STALL_SOURCE, jobs=1, simplify=False)
-        faults.set_plan(None)
-        plain = _run(source=STALL_SOURCE, jobs=1, simplify=False)
+        plain = _run(source=STALL_SOURCE, jobs=1)
+        faults.set_plan(_stall_own_check(plain))
+        stalled = _run(source=STALL_SOURCE, jobs=1)
         assert normalized_report_dict(stalled.to_dict()) == normalized_report_dict(
             plain.to_dict()
         )
 
     def test_timeout_outcomes_are_never_cached(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
+        faults.set_plan(_stall_own_check(_run(source=STALL_SOURCE, jobs=1)))
         first = _run(
-            source=STALL_SOURCE, jobs=1, simplify=False, check_timeout_s=2.0,
+            source=STALL_SOURCE, jobs=1, check_timeout_s=2.0,
             cache_dir=cache_dir, use_cache=True,
         )
         assert first.verdict is Verdict.INCONCLUSIVE
@@ -276,7 +284,7 @@ class TestCheckDeadline:
         # been written back, this run would replay it and stay inconclusive.
         faults.set_plan(FaultPlan())
         second = _run(
-            source=STALL_SOURCE, jobs=1, simplify=False, check_timeout_s=2.0,
+            source=STALL_SOURCE, jobs=1, check_timeout_s=2.0,
             cache_dir=cache_dir, use_cache=True,
         )
         assert second.verdict is Verdict.SECURE
@@ -285,7 +293,7 @@ class TestCheckDeadline:
     def test_stalled_sequential_check_degrades_to_timeout_outcome(self):
         # The deadline reaches the unroller's SAT call, not only the call
         # boundary before it.
-        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
+        faults.set_plan(_stall_own_check(_run_sequential()))
         report = _run_sequential(check_timeout_s=1.0)
         assert report.verdict is Verdict.INCONCLUSIVE
         [timed_out] = report.outcomes
@@ -296,7 +304,7 @@ class TestCheckDeadline:
 
     def test_sequential_timeout_outcomes_are_never_cached(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
+        faults.set_plan(_stall_own_check(_run_sequential()))
         first = _run_sequential(check_timeout_s=1.0, cache_dir=cache_dir)
         assert first.verdict is Verdict.INCONCLUSIVE
         faults.set_plan(FaultPlan())

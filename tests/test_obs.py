@@ -11,7 +11,6 @@ is byte-identical to an untraced one, at any worker count.
 import json
 import threading
 import urllib.request
-from dataclasses import replace
 
 import pytest
 
@@ -200,11 +199,10 @@ class TestProgressHeartbeats:
 
         assert event_from_dict(event.to_dict()) == event
 
-    def test_session_run_emits_heartbeats_on_hard_solves(self, monkeypatch):
+    def test_session_run_emits_heartbeats_on_hard_solves(self, monkeypatch, sat_trojan_module):
         monkeypatch.setattr(obs_progress, "HEARTBEAT_CONFLICTS", 2)
-        design = Design.from_benchmark("RS232-T2400")
-        config = replace(design.default_config(), simplify=False)
-        session = DetectionSession(design, config=config)
+        design = Design.from_module(sat_trojan_module)
+        session = DetectionSession(design)
         beats = []
         session.subscribe(beats.append, event_type=SolverProgress)
         report = session.run()
@@ -214,11 +212,9 @@ class TestProgressHeartbeats:
             assert beat.design == design.name
             assert beat.conflicts % 2 == 0 and beat.conflicts > 0
 
-    def test_heartbeats_never_enter_the_result_stream(self, monkeypatch):
+    def test_heartbeats_never_enter_the_result_stream(self, monkeypatch, sat_trojan_module):
         monkeypatch.setattr(obs_progress, "HEARTBEAT_CONFLICTS", 2)
-        design = Design.from_benchmark("RS232-T2400")
-        config = replace(design.default_config(), simplify=False)
-        yielded = list(DetectionSession(design, config=config).iter_results())
+        yielded = list(DetectionSession(sat_trojan_module).iter_results())
         assert not any(isinstance(event, SolverProgress) for event in yielded)
 
 

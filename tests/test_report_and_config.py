@@ -25,7 +25,6 @@ class TestDetectionConfig:
     def test_defaults(self):
         config = DetectionConfig()
         assert config.cumulative_assumptions
-        assert config.assume_inputs_at_prove_time
         assert config.stop_at_first_failure
         assert config.inputs is None
         assert config.waivers == []
@@ -129,7 +128,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["split", "split_conflicts", "split_depth", "inprocess", "sim_backend", "solver_backend"],
+        [
+            "split", "split_conflicts", "split_depth", "inprocess", "sim_backend",
+            "solver_backend", "simplify", "sim_patterns", "fraig_rounds",
+            "assume_inputs_at_prove_time",
+        ],
     )
     def test_serialized_configs_naming_removed_solver_knobs_fail_loudly(self, field):
         # A service submission written for an older release must not run

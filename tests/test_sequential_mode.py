@@ -41,8 +41,9 @@ endmodule
 """
 
 # Diverges from the golden model once an input-gated counter saturates at 5:
-# the solver must *find* the arming sequence (en held high for five cycles),
-# so below-threshold bounds are genuine UNSAT proofs, not constant folding.
+# the solver must *find* the arming sequence (en held high with din at 8'h5a
+# for five cycles, which random simulation never hits), so below-threshold
+# bounds are genuine UNSAT proofs, not constant folding.
 TIMEBOMB_SOURCE = """
 module acc(input clk, input en, input [7:0] din, output [7:0] dout);
   reg [7:0] s1;
@@ -51,7 +52,7 @@ module acc(input clk, input en, input [7:0] din, output [7:0] dout);
   always @(posedge clk) begin
     s1 <= din + 8'h11;
     s2 <= s1 ^ 8'h22;
-    if (en && count != 3'h5)
+    if (en && din == 8'h5a && count != 3'h5)
       count <= count + 3'h1;
   end
   assign dout = (count == 3'h5) ? ~s2 : s2;
@@ -99,8 +100,9 @@ class TestSequentialUnroller:
 
     def test_deeper_bound_reuses_clauses(self, timebomb_module, golden_module):
         # Depth 4 is the first bound whose trigger cone survives constant
-        # folding (the counter can reach 4), so it encodes real clauses that
-        # the depth-5 check must then reuse instead of re-encoding.
+        # folding and fraig sweeping (the counter can reach 4), so it
+        # encodes real clauses that the depth-5 check must then reuse
+        # instead of re-encoding.
         unroller = SequentialUnroller(timebomb_module, golden_module)
         shallow = unroller.check_output("dout", 4)
         deeper = unroller.check_output("dout", 5)
@@ -219,11 +221,10 @@ class TestSequentialSessions:
 
     def test_warm_cache_replays_with_zero_solver_calls(self, tmp_path, timebomb_module, golden_module):
         design = self._design(timebomb_module, golden_module)
-        # simplify=False keeps the cold run on the CDCL path, so the
-        # zero-solver-calls assertion on the warm replay stays meaningful.
-        config = DetectionConfig(
-            mode="sequential", depth=5, cache_dir=str(tmp_path), simplify=False
-        )
+        # Random simulation misses the arming sequence, so the cold run
+        # searches with CDCL and the zero-solver-calls assertion on the warm
+        # replay stays meaningful.
+        config = DetectionConfig(mode="sequential", depth=5, cache_dir=str(tmp_path))
         cold = DetectionSession(design, config).run()
         assert cold.cache_misses > 0 and cold.solver_calls > 0
         warm = DetectionSession(design, config).run()

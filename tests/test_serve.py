@@ -63,10 +63,11 @@ module widget(input clk, input [3:0] din, output [3:0] dout);
 endmodule
 """
 
-# Secure, but ``(d + pad) - pad`` must be proven zero by the CDCL solver
-# (structural hashing cannot fold the adder identity), so an audit of this
-# design spends real time in SAT — long enough for a crash-recovery test
-# to kill a daemon mid-run, especially with solver_stall faults planned.
+# Secure, but ``(d + pad) - pad`` must be proven zero by SAT calls (fraig's
+# bounded proofs; structural hashing cannot fold the adder identity), so an
+# audit of this design spends real time in SAT — long enough for a
+# crash-recovery test to kill a daemon mid-run, especially with
+# solver_stall faults planned.
 SLOW_SECURE_SOURCE = """
 module widget(input clk, input [7:0] d, output [7:0] q);
   reg [7:0] s1;
@@ -157,16 +158,17 @@ class TestPrepareSubmission:
 
     def test_fingerprint_tracks_semantic_config_and_source(self, tmp_path):
         base = {"verilog": SMALL_SOURCE, "top": "widget"}
-        # sim_patterns is a semantic knob (it enters the config fingerprint).
-        deeper = {
+        # cumulative_assumptions is a semantic knob (it enters the config
+        # fingerprint).
+        strict = {
             "verilog": SMALL_SOURCE,
             "top": "widget",
-            "config": {"sim_patterns": 32},
+            "config": {"cumulative_assumptions": False},
         }
         mutated = {"verilog": SMALL_SOURCE.replace("4'd3", "4'd5"), "top": "widget"}
         fingerprints = {
             prepare_submission(body, str(tmp_path), True)[3]
-            for body in (base, deeper, mutated)
+            for body in (base, strict, mutated)
         }
         assert len(fingerprints) == 3
 
@@ -844,7 +846,6 @@ class TestDaemonCrashRecovery:
             handle = victim_client.submit({
                 "verilog": SLOW_SECURE_SOURCE,
                 "top": "widget",
-                "config": {"simplify": False},
             })
             job_id = handle["job"]["id"]
             # Kill the instant the audit is observably mid-run: the claim

@@ -160,12 +160,12 @@ class TestConflictClauseMinimization:
 
 
 class TestSearchCounterTelemetry:
-    def test_counters_thread_through_to_the_report(self):
-        from test_preprocess import _audit
+    def test_counters_thread_through_to_the_report(self, sat_trojan_module):
+        from repro.api import DetectionSession
 
-        # Without preprocessing the miter goes straight to CDCL, so the
-        # run's solver block must show genuine search work.
-        report = _audit("RS232-T2400", simplify=False)
+        # Random simulation misses this Trojan, so its miter reaches CDCL
+        # and the run's solver block must show genuine search work.
+        report = DetectionSession(sat_trojan_module).run()
         assert report.solver_calls > 0
         assert report.solver_conflicts > 0
         assert report.solver_learned_clauses > 0
