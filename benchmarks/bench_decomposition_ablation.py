@@ -17,19 +17,26 @@ import time
 import pytest
 
 from conftest import design_config
-from repro.core import TrojanDetectionFlow
+from repro.api import Design
 from repro.core.properties import build_fanout_property, build_init_property, build_trojan_property
 from repro.ipc.engine import IpcEngine
-from repro.trusthub import load_design, load_module
+from repro.trusthub import load_design
 
 
-def _decomposed_runtime(module, flow, max_class):
+def _aes_setup():
+    """The AES core's module, audit config and fanout analysis."""
+    design = Design.from_benchmark("AES-HT-FREE")
+    config = design_config(load_design("AES-HT-FREE"))
+    return design.module, config, design.analysis(config.inputs)
+
+
+def _decomposed_runtime(module, config, analysis, max_class):
     """Check the init property and fanout properties up to ``max_class``."""
     started = time.perf_counter()
     engine = IpcEngine(module)
-    properties = [build_init_property(module, flow.analysis, flow.config)]
+    properties = [build_init_property(module, analysis, config)]
     properties += [
-        build_fanout_property(module, flow.analysis, k, flow.config)
+        build_fanout_property(module, analysis, k, config)
         for k in range(1, max_class)
     ]
     for prop in properties:
@@ -38,11 +45,11 @@ def _decomposed_runtime(module, flow, max_class):
     return time.perf_counter() - started
 
 
-def _monolithic_runtime(module, flow, max_class):
+def _monolithic_runtime(module, config, analysis, max_class):
     """Check the aggregate trojan property truncated at ``max_class``."""
     started = time.perf_counter()
     engine = IpcEngine(module)
-    prop = build_trojan_property(module, flow.analysis, flow.config, max_class=max_class)
+    prop = build_trojan_property(module, analysis, config, max_class=max_class)
     result = engine.check(prop)
     assert result.holds
     return time.perf_counter() - started
@@ -54,11 +61,9 @@ DEPTHS = (2, 4, 8)
 @pytest.mark.benchmark(group="ablation")
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_decomposed_properties_scale(benchmark, depth):
-    design = load_design("AES-HT-FREE")
-    module = load_module("AES-HT-FREE")
-    flow = TrojanDetectionFlow(module, design_config(design))
+    setup = _aes_setup()
     runtime = benchmark.pedantic(
-        lambda: _decomposed_runtime(module, flow, depth), rounds=1, iterations=1
+        lambda: _decomposed_runtime(*setup, depth), rounds=1, iterations=1
     )
     print(f"\ndecomposed properties, depth {depth}: {runtime:.2f} s")
 
@@ -66,11 +71,9 @@ def test_decomposed_properties_scale(benchmark, depth):
 @pytest.mark.benchmark(group="ablation")
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_monolithic_trojan_property_scales_worse(benchmark, depth):
-    design = load_design("AES-HT-FREE")
-    module = load_module("AES-HT-FREE")
-    flow = TrojanDetectionFlow(module, design_config(design))
+    setup = _aes_setup()
     runtime = benchmark.pedantic(
-        lambda: _monolithic_runtime(module, flow, depth), rounds=1, iterations=1
+        lambda: _monolithic_runtime(*setup, depth), rounds=1, iterations=1
     )
     print(f"\nmonolithic trojan property, depth {depth}: {runtime:.2f} s")
 
@@ -78,15 +81,13 @@ def test_monolithic_trojan_property_scales_worse(benchmark, depth):
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_summary(benchmark):
     """Side-by-side comparison at the deepest swept depth."""
-    design = load_design("AES-HT-FREE")
-    module = load_module("AES-HT-FREE")
-    flow = TrojanDetectionFlow(module, design_config(design))
+    setup = _aes_setup()
 
     def run():
         depth = DEPTHS[-1]
         return (
-            _decomposed_runtime(module, flow, depth),
-            _monolithic_runtime(module, flow, depth),
+            _decomposed_runtime(*setup, depth),
+            _monolithic_runtime(*setup, depth),
         )
 
     decomposed, monolithic = benchmark.pedantic(run, rounds=1, iterations=1)

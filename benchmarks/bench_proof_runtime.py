@@ -15,34 +15,40 @@ from __future__ import annotations
 import pytest
 
 from conftest import design_config, run_detection
-from repro.core import TrojanDetectionFlow
+from repro.api import Design
 from repro.core.properties import build_fanout_property, build_init_property
-from repro.trusthub import load_design, load_module
+from repro.ipc.engine import IpcEngine
+from repro.trusthub import load_design
 from repro.utils.timing import PeakMemoryTracker
+
+
+def _aes_setup():
+    """The AES core as a Design, its audit config and fanout analysis."""
+    design = Design.from_benchmark("AES-HT-FREE")
+    config = design_config(load_design("AES-HT-FREE"))
+    return design, config, design.analysis(config.inputs)
 
 
 @pytest.mark.benchmark(group="proof-runtime")
 def test_single_init_property_proof_on_aes(benchmark):
     """Runtime of one init-property proof on the AES core (paper: 1-3 s)."""
-    design = load_design("AES-HT-FREE")
-    module = load_module("AES-HT-FREE")
-    flow = TrojanDetectionFlow(module, design_config(design))
-    prop = build_init_property(module, flow.analysis, flow.config)
+    design, config, analysis = _aes_setup()
+    prop = build_init_property(design.module, analysis, config)
+    engine = IpcEngine(design.module)
 
-    result = benchmark(lambda: flow.engine.check(prop))
+    result = benchmark(lambda: engine.check(prop))
     assert result.holds
 
 
 @pytest.mark.benchmark(group="proof-runtime")
 def test_single_deep_fanout_property_proof_on_aes(benchmark):
     """Runtime of the deepest fanout-property proof (ciphertext class) on the AES core."""
-    design = load_design("AES-HT-FREE")
-    module = load_module("AES-HT-FREE")
-    flow = TrojanDetectionFlow(module, design_config(design))
-    deepest = flow.analysis.placement_depth - 1
-    prop = build_fanout_property(module, flow.analysis, deepest, flow.config)
+    design, config, analysis = _aes_setup()
+    deepest = analysis.placement_depth - 1
+    prop = build_fanout_property(design.module, analysis, deepest, config)
+    engine = IpcEngine(design.module)
 
-    result = benchmark(lambda: flow.engine.check(prop))
+    result = benchmark(lambda: engine.check(prop))
     assert result.holds
 
 

@@ -24,7 +24,6 @@ from repro._version import __version__
 from repro.core import (
     DetectionConfig,
     DetectionReport,
-    TrojanDetectionFlow,
     Verdict,
     Waiver,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DetectionSession",
     "BatchSession",
     "BatchReport",
-    "TrojanDetectionFlow",
     "DetectionConfig",
     "DetectionReport",
     "Verdict",

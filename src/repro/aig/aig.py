@@ -138,9 +138,6 @@ class AIG:
     def is_and(self, node: int) -> bool:
         return self._nodes[node] is not None
 
-    def node_of(self, literal: int) -> int:
-        return literal >> 1
-
     def fanins(self, node: int) -> Tuple[int, int]:
         children = self._nodes[node]
         if children is None:

@@ -47,12 +47,6 @@ class CnfBuilder:
     def cnf(self) -> Cnf:
         return self._cnf
 
-    def var_of_node(self, node: int) -> int:
-        """CNF variable for an already-encoded node (or the constant node)."""
-        if node == 0:
-            return self._true_var  # handled through literal_of sign handling
-        return self._node_to_var[node]
-
     def literal_of(self, aig_literal: int) -> int:
         """Encode the cone of ``aig_literal`` and return the CNF literal."""
         if aig_literal == TRUE:

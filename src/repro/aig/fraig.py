@@ -26,7 +26,9 @@ falsification of the miter.
 
 Proof effort is bounded (``conflict_limit`` per proof, ``max_proofs`` per
 sweep); a proof that exceeds its budget is simply skipped — sweeping is an
-optimisation, never a soundness obligation.
+optimisation, never a soundness obligation.  A sweep's wall-clock deadline
+is the property check's own: a proof running past it raises
+:class:`repro.errors.CheckDeadlineExceeded` to the caller.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.aig.aig import AIG, FALSE, TRUE, negate
 from repro.aig.simplify import SimplifyResult, resolve_merge, simplify_cone
 from repro.aig.simvec import PatternSet, node_signatures
-from repro.errors import SolverError
+from repro.errors import ConflictLimitExceeded
 from repro.obs.trace import span as _span
 from repro.sat.context import SolverContext
 
@@ -87,7 +89,7 @@ class FraigContext:
     # ------------------------------------------------------------------ #
 
     def _prove_equal(
-        self, rep_literal: int, node_literal: int
+        self, rep_literal: int, node_literal: int, deadline_s: Optional[float] = None
     ) -> Tuple[Optional[bool], bool]:
         """UNSAT check of ``rep XOR node``.
 
@@ -104,8 +106,10 @@ class FraigContext:
             return False, False
         cnf_goal = self.context.literal_of(goal)
         try:
-            outcome = self.context.solve([cnf_goal], conflict_limit=self.conflict_limit)
-        except SolverError:
+            outcome = self.context.solve(
+                [cnf_goal], conflict_limit=self.conflict_limit, deadline_s=deadline_s
+            )
+        except ConflictLimitExceeded:
             return None, False
         if not outcome.satisfiable:
             return True, False
@@ -129,7 +133,10 @@ class FraigContext:
     # ------------------------------------------------------------------ #
 
     def sweep(
-        self, roots: List[int], cone: Optional[List[int]] = None
+        self,
+        roots: List[int],
+        cone: Optional[List[int]] = None,
+        deadline_s: Optional[float] = None,
     ) -> Tuple[SimplifyResult, FraigStats]:
         """Refine, prove and merge over the cone of ``roots``; rebuild them.
 
@@ -137,7 +144,8 @@ class FraigContext:
         rewriting rules applied) together with sweep statistics.  ``cone``
         is the roots' already-computed node list, when the caller holds one
         (the roots do not change across refinement rounds, so it stays
-        valid for the whole sweep).
+        valid for the whole sweep).  ``deadline_s`` is the absolute
+        ``time.monotonic()`` deadline of every proof.
         """
         stats = FraigStats()
         aig = self.aig
@@ -185,7 +193,9 @@ class FraigContext:
                         else negate(node_literal)
                     )
                     budget -= 1
-                    verdict, pattern_added = self._prove_equal(rep_literal, target)
+                    verdict, pattern_added = self._prove_equal(
+                        rep_literal, target, deadline_s
+                    )
                     if verdict is True:
                         stats.proofs_unsat += 1
                         stats.merged_nodes += 1

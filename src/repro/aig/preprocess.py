@@ -74,8 +74,14 @@ class Preprocessor:
             )
         return self._fraig
 
-    def run(self, roots: List[int]) -> PreprocessOutcome:
-        """Preprocess the conjunction of ``roots`` (all goals must hold)."""
+    def run(
+        self, roots: List[int], deadline_s: Optional[float] = None
+    ) -> PreprocessOutcome:
+        """Preprocess the conjunction of ``roots`` (all goals must hold).
+
+        ``deadline_s`` (absolute ``time.monotonic()``) bounds the sweep's SAT
+        proofs; past it they raise :class:`repro.errors.CheckDeadlineExceeded`.
+        """
         started = _time.perf_counter()
         aig = self._aig
         with _span("preprocess"):
@@ -92,7 +98,9 @@ class Preprocessor:
                 outcome.nodes_after = outcome.nodes_before
             else:
                 with _span("fraig", cone_nodes=len(cone)):
-                    swept, stats = self.fraig.sweep(roots, cone=cone)
+                    swept, stats = self.fraig.sweep(
+                        roots, cone=cone, deadline_s=deadline_s
+                    )
                 outcome.roots = swept.roots
                 outcome.nodes_after = swept.nodes_after
                 outcome.merged_nodes = stats.merged_nodes

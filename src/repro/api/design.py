@@ -15,6 +15,7 @@ middle of a verification run.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DetectionConfig, Waiver, validate_input_names
@@ -247,6 +248,31 @@ class Design:
         }
         settings.update(overrides)
         return DetectionConfig(**settings)
+
+    def fill_config(
+        self, template: DetectionConfig, include_recommended_waivers: bool = True
+    ) -> DetectionConfig:
+        """``template`` with this design's audit defaults filled in.
+
+        The design's traced inputs replace an unset ``inputs``, and its
+        recommended waivers not already waived are appended (unless
+        ``include_recommended_waivers`` is off).  A batch's shared config
+        template and a served submission's config overlay both apply to a
+        design this way.
+        """
+        config = template
+        if config.inputs is None and self.data_inputs:
+            config = replace(config, inputs=list(self.data_inputs))
+        if include_recommended_waivers and self._recommended_waivers:
+            waived = set(config.waived_signals())
+            extra = [
+                Waiver(signal=signal, reason=f"recommended for {self._name}")
+                for signal in self._recommended_waivers
+                if signal not in waived
+            ]
+            if extra:
+                config = replace(config, waivers=list(config.waivers) + extra)
+        return config
 
     def describe(self) -> str:
         """One-paragraph description for interactive use."""

@@ -1,8 +1,11 @@
 """Detection sessions: lifecycle owners of one (or many) audit runs.
 
-``DetectionSession`` owns one :class:`repro.core.flow.TrojanDetectionFlow`
-(and therefore one :class:`repro.ipc.engine.IpcEngine` with its persistent
-solver context) per design.  Results can be consumed three ways:
+Every audit runs Algorithm 1 through one pair of private helpers:
+:func:`_plan` builds a design's :class:`repro.exec.scheduler.DesignPlan`
+(fanout analysis, cache replays, class shards) and :func:`_run` settles any
+number of plans on one executor, yielding the merged, class-ordered event
+stream.  ``DetectionSession`` runs one plan; its results can be consumed
+three ways:
 
 * ``run()`` — blocking, returns the final :class:`DetectionReport`;
 * ``iter_results()`` — a lazy generator of typed run events; the SAT phase
@@ -12,21 +15,24 @@ solver context) per design.  Results can be consumed three ways:
   fired for both ``run()`` and ``iter_results()`` consumption.
 
 ``BatchSession`` audits a sequence of designs under one shared
-:class:`DetectionConfig` and aggregates a :class:`BatchReport` with
-per-design reports plus cumulative solver-reuse statistics.
+:class:`DetectionConfig`, runs all their plans on one executor (serial, or
+a worker pool when the config asks for ``jobs > 1``) and aggregates a
+:class:`BatchReport` with per-design reports plus cumulative solver-reuse
+statistics.
 """
 
 from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type, Union
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, Union,
+)
 
 from repro.api.design import Design
-from repro.core.config import DetectionConfig, Waiver
+from repro.core.config import DetectionConfig
 from repro.core.events import EventBus, RunEvent, RunFinished
-from repro.core.flow import TrojanDetectionFlow, open_result_cache
 from repro.core.report import (
     SCHEMA_VERSION,
     DetectionReport,
@@ -34,17 +40,19 @@ from repro.core.report import (
     execution_summary_line,
 )
 from repro.errors import ConfigError, ReproError
+from repro.exec.cache import ResultCache
 from repro.exec.executor import create_executor
 from repro.exec.scheduler import DesignPlan, run_plans
 from repro.obs.progress import progress_sink
+from repro.obs.trace import span as _obs_span
 from repro.rtl.ir import Module
 
 
 def _golden_for(design: Design, config: DetectionConfig) -> Optional[Module]:
     """The design's golden model when the config runs sequentially (or None).
 
-    Raising here — before any flow or plan is built — turns "sequential mode
-    on a design with no golden model" into an immediate, actionable
+    Raising here — before any plan is built — turns "sequential mode on a
+    design with no golden model" into an immediate, actionable
     configuration error instead of a mid-run failure.
     """
     if config.mode != "sequential":
@@ -60,6 +68,61 @@ def _golden_for(design: Design, config: DetectionConfig) -> Optional[Module]:
     return golden
 
 
+def _plan(design: Design, config: DetectionConfig, key: str) -> DesignPlan:
+    """Plan one audit of ``design`` under ``config``, keyed ``key`` on the executor.
+
+    The plan takes the design's cached fanout analysis when the config
+    traces an explicit input set (with ``inputs=None`` the module's own
+    data inputs apply, which may differ from a benchmark's metadata) and
+    the design's dependency graph, so the analysis, every work context and
+    the coverage check share one graph.  Sequential plans need neither:
+    they need the golden model.
+    """
+    sequential = config.mode == "sequential"
+    with _obs_span("plan", design=design.name):
+        return DesignPlan.build(
+            key=key,
+            name=design.name,
+            module=design.module,
+            config=config,
+            analysis=(
+                design.analysis(config.inputs)
+                if config.inputs is not None and not sequential
+                else None
+            ),
+            graph=None if sequential else design.graph,
+            cache=(
+                ResultCache(config.cache_dir)
+                if config.cache_dir is not None and config.use_cache
+                else None
+            ),
+            golden=_golden_for(design, config),
+        )
+
+
+def _run(
+    plans: Sequence[DesignPlan], emit: Callable[[RunEvent], None]
+) -> Iterator[RunEvent]:
+    """Settle ``plans`` on one executor, yielding the merged event stream.
+
+    The executor is serial or a forked worker pool, by the largest ``jobs``
+    the plans' configs ask for, and is closed when the stream ends or is
+    abandoned.  Solver heartbeats (``SolverProgress``) are transient: they
+    go to ``emit`` for live observers but never into the yielded stream, so
+    the stream stays deterministic.
+    """
+    executor = create_executor(
+        max((plan.config.jobs for plan in plans), default=1),
+        {plan.key: plan.work_unit for plan in plans},
+        task_retries=plans[0].config.task_retries if plans else 2,
+    )
+    try:
+        with progress_sink(emit):
+            yield from run_plans(plans, executor)
+    finally:
+        executor.close()
+
+
 class DetectionSession:
     """One audit of one design, with streaming results and run events."""
 
@@ -73,7 +136,6 @@ class DetectionSession:
         self._design = design
         self._config = config if config is not None else design.default_config()
         self._bus = EventBus()
-        self._flow: Optional[TrojanDetectionFlow] = None
         self._report: Optional[DetectionReport] = None
 
     # ------------------------------------------------------------------ #
@@ -87,31 +149,6 @@ class DetectionSession:
     @property
     def config(self) -> DetectionConfig:
         return self._config
-
-    @property
-    def flow(self) -> TrojanDetectionFlow:
-        """The underlying scheduler (created lazily, then kept warm)."""
-        if self._flow is None:
-            sequential = self._config.mode == "sequential"
-            # Reuse the design's cached fanout analysis when the config traces
-            # an explicit input set; with inputs=None the flow's own default
-            # (the module's data inputs) applies, which may differ from the
-            # design's benchmark metadata.  Sequential runs need neither the
-            # analysis nor the partition — they need the golden model.
-            analysis = (
-                self._design.analysis(self._config.inputs)
-                if self._config.inputs is not None and not sequential
-                else None
-            )
-            self._flow = TrojanDetectionFlow(
-                self._design.module,
-                self._config,
-                design_name=self._design.name,
-                analysis=analysis,
-                golden=_golden_for(self._design, self._config),
-                graph=None if sequential else self._design.graph,
-            )
-        return self._flow
 
     @property
     def report(self) -> Optional[DetectionReport]:
@@ -150,17 +187,14 @@ class DetectionSession:
         final :class:`RunFinished` event, :attr:`report` holds the run's
         report.
         """
-        # Solver heartbeats (SolverProgress) are transient: they go to the
-        # bus for live observers but never into the merged class-ordered
-        # stream, so the yielded events stay deterministic.
-        with progress_sink(self._bus.emit):
-            for event in self.flow.events():
-                # Store the report before dispatching, so a RunFinished
-                # subscriber reading session.report sees the finished run.
-                if isinstance(event, RunFinished):
-                    self._report = event.report
-                self._bus.emit(event)
-                yield event
+        plan = _plan(self._design, self._config, key=self._design.name)
+        for event in _run([plan], self._bus.emit):
+            # Store the report before dispatching, so a RunFinished
+            # subscriber reading session.report sees the finished run.
+            if isinstance(event, RunFinished):
+                self._report = event.report
+            self._bus.emit(event)
+            yield event
 
     def run(self) -> DetectionReport:
         """Execute the complete audit and return the final report."""
@@ -378,99 +412,50 @@ class BatchSession:
             return design.default_config(
                 include_recommended_waivers=self._use_recommended_waivers
             )
-        config = self._config
-        if config.inputs is None and design.data_inputs:
-            config = replace(config, inputs=list(design.data_inputs))
-        if self._use_recommended_waivers and design.recommended_waivers:
-            waived = set(config.waived_signals())
-            extra = [
-                Waiver(signal=signal, reason=f"recommended for {design.name}")
-                for signal in design.recommended_waivers
-                if signal not in waived
-            ]
-            if extra:
-                config = replace(config, waivers=list(config.waivers) + extra)
-        return config
+        return design.fill_config(
+            self._config, include_recommended_waivers=self._use_recommended_waivers
+        )
 
     def iter_reports(self) -> Iterator[Tuple[Design, DetectionReport]]:
         """Audit the queued designs one by one, yielding each design's report.
 
         Lazy like :meth:`DetectionSession.iter_results`: design ``n+1`` is
-        not elaborated into a flow before design ``n``'s report has been
-        consumed, so a caller can stop a long batch early.  Always serial
-        within the calling process; :meth:`run` is the surface that shards
-        designs over a worker pool when the config asks for ``jobs > 1``.
+        not planned before design ``n``'s report has been consumed, so a
+        caller can stop a long batch early.  Each design runs as its own
+        :class:`DetectionSession`, on its own executor; :meth:`run` is the
+        surface that settles every design on one executor.
         """
         for design in self._designs:
-            yield design, self._audit(design, self.config_for(design))
+            session = DetectionSession(design, config=self.config_for(design))
+            session.subscribe(self._bus.emit)
+            yield design, session.run()
 
-    def _audit(self, design: Design, config: DetectionConfig) -> DetectionReport:
-        """Audit one design in-process, forwarding its events to the batch bus."""
-        session = DetectionSession(design, config=config)
-        session.subscribe(self._bus.emit)
-        return session.run()
+    def run(self) -> BatchReport:
+        """Audit every queued design and return the aggregated batch report.
 
-    def _run_sharded(self, pairs, jobs: int) -> Tuple[List[DetectionReport], int]:
-        """Audit all queued designs over one shared worker pool.
-
-        Every design's property shards go into a single work-stealing queue,
-        so workers move freely between designs: a design with one huge SAT
-        obligation no longer serializes the whole batch.  Events merge back
-        deterministically in (queue order, class order); reports come back
-        in queue order regardless of which design finished first.
+        Every design is planned first, then all plans settle on one
+        executor: serially, one design after another, or — when the config
+        asks for ``jobs > 1`` — on one worker pool whose single
+        work-stealing queue lets workers move freely between designs.
+        Events merge back deterministically in (queue order, class order),
+        and reports come back in queue order whichever design finished
+        first.
         """
-        plans = []
-        for position, (design, config) in enumerate(pairs):
-            sequential = config.mode == "sequential"
-            analysis = (
-                design.analysis(config.inputs)
-                if config.inputs is not None and not sequential
-                else None
-            )
-            plans.append(
-                DesignPlan.build(
-                    key=f"{position}:{design.name}",
-                    name=design.name,
-                    module=design.module,
-                    config=config,
-                    analysis=analysis,
-                    graph=None if sequential else design.graph,
-                    cache=open_result_cache(config),
-                    golden=_golden_for(design, config),
-                )
-            )
-        executor = create_executor(
-            jobs,
-            {plan.key: plan.work_unit for plan in plans},
-            task_retries=plans[0].config.task_retries if plans else 2,
-        )
-        reports: List[DetectionReport] = []
-        try:
-            with progress_sink(self._bus.emit):
-                for event in run_plans(plans, executor):
-                    self._bus.emit(event)
-                    if isinstance(event, RunFinished):
-                        reports.append(event.report)
-        finally:
-            executor.close()
+        started = _time.perf_counter()
+        plans = [
+            _plan(design, self.config_for(design), key=f"{position}:{design.name}")
+            for position, design in enumerate(self._designs)
+        ]
+        batch = BatchReport()
+        for event in _run(plans, self._bus.emit):
+            self._bus.emit(event)
+            if isinstance(event, RunFinished):
+                batch.reports.append(event.report)
         # Report the parallelism the runs actually saw, not the requested
         # jobs: the factory falls back to a serial executor on fork-less
         # platforms and a pool never forks more workers than it has shards,
         # so the batch must agree with its per-design reports.
-        return reports, max((report.workers for report in reports), default=1)
-
-    def run(self) -> BatchReport:
-        """Audit every queued design and return the aggregated batch report."""
-        started = _time.perf_counter()
-        pairs = [(design, self.config_for(design)) for design in self._designs]
-        jobs = max((config.jobs for _, config in pairs), default=1)
-        batch = BatchReport()
-        if jobs > 1:
-            reports, batch.workers = self._run_sharded(pairs, jobs)
-            batch.reports.extend(reports)
-        else:
-            for design, config in pairs:
-                batch.reports.append(self._audit(design, config))
+        batch.workers = max((report.workers for report in batch.reports), default=1)
         batch.total_runtime_seconds = _time.perf_counter() - started
         self._report = batch
         return batch

@@ -1,9 +1,8 @@
 """The paper's contribution: golden-free formal hardware-Trojan detection.
 
-Public entry points:
+The pieces of Algorithm 1, the iterative verification flow, which
+:mod:`repro.api` runs through the execution subsystem (:mod:`repro.exec`):
 
-* :class:`repro.core.flow.TrojanDetectionFlow` — Algorithm 1, the iterative
-  verification flow,
 * :mod:`repro.core.properties` — constructors for the *trojan*, *init* and
   *fanout* interval properties of Figs. 3-5,
 * :mod:`repro.core.coverage` — the signal coverage check (Sec. IV-D, case 2),
@@ -13,7 +12,6 @@ Public entry points:
 """
 
 from repro.core.config import DETECTION_MODES, DetectionConfig, Waiver
-from repro.core.flow import TrojanDetectionFlow
 from repro.core.unroll import (
     SequentialCheckResult,
     SequentialUnroller,
@@ -33,7 +31,6 @@ __all__ = [
     "DETECTION_MODES",
     "DetectionConfig",
     "Waiver",
-    "TrojanDetectionFlow",
     "SequentialCheckResult",
     "SequentialUnroller",
     "sequential_output_classes",

@@ -80,7 +80,7 @@ class Waiver:
 
 @dataclass
 class DetectionConfig:
-    """Tuning knobs of :class:`repro.core.flow.TrojanDetectionFlow`.
+    """Tuning knobs of one audit (:class:`repro.api.DetectionSession`).
 
     Attributes
     ----------

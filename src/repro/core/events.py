@@ -1,10 +1,10 @@
 """Typed run events emitted by the detection scheduler.
 
-The batched scheduler of :class:`repro.core.flow.TrojanDetectionFlow` no
-longer accumulates results privately: it *emits* one event stream per run,
-and every consumer — the streaming :meth:`repro.api.DetectionSession.iter_results`
-generator, progress bars, telemetry hooks, the CLI's verbose mode — observes
-the same typed events.  The lifecycle of one run is::
+The scheduler (:func:`repro.exec.scheduler.run_plans`) does not accumulate
+results privately: it *emits* one event stream per run, and every consumer
+— the streaming :meth:`repro.api.DetectionSession.iter_results` generator,
+progress bars, telemetry hooks, the CLI's verbose mode — observes the same
+typed events.  The lifecycle of one run is::
 
     RunStarted
       PropertyScheduled(k)            for every class k, in class order
@@ -29,8 +29,9 @@ event, carrying the complete report) as the end of the stream, not a
 terminal-event count.
 
 These classes are re-exported as the public :mod:`repro.api.events` surface;
-they live here so that :mod:`repro.core.flow` can emit them without importing
-the (higher-level) API package.
+they live here so that the scheduler and the work contexts of
+:mod:`repro.exec` can emit them without importing the (higher-level) API
+package.
 """
 
 from __future__ import annotations

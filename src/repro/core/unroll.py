@@ -1,8 +1,9 @@
 """Bounded design-vs-golden unrolling: the sequential detection mode's core.
 
-The combinational flow of :mod:`repro.core.flow` proves 2-safety equality of
-one design against *itself* over a one-cycle window with a symbolic starting
-state — it needs no golden model, but a payload hidden behind a waived (or
+The combinational detection flow (:mod:`repro.core.properties`, settled by
+:mod:`repro.exec.worker`) proves 2-safety equality of one design against
+*itself* over a one-cycle window with a symbolic starting state — it needs
+no golden model, but a payload hidden behind a waived (or
 cross-instance-equal) trigger never shows up in its properties.  The
 sequential mode closes that gap with the complementary classic check: unroll
 the design next to a known-good *golden* model for ``depth`` cycles from the
@@ -194,11 +195,6 @@ class SequentialUnroller:
     def common_outputs(self) -> List[str]:
         return sequential_output_classes(self._design, self._golden)
 
-    @property
-    def unrolled_depth(self) -> int:
-        """Cycles the persistent unrolling currently covers."""
-        return max(0, len(self._design_frames) - 1)
-
     def stats(self) -> Dict[str, object]:
         """Snapshot of the shared solver-context statistics (engine-shaped)."""
         context = self._context
@@ -290,10 +286,10 @@ class SequentialUnroller:
         """Search for an input sequence of length ``depth`` that separates the
         design from the golden model on any output in ``names``.
 
-        ``deadline_s`` budgets the CDCL call in wall-clock terms (absolute
-        ``time.monotonic()`` deadline): past it the solver raises
-        :class:`repro.errors.CheckDeadlineExceeded` with the persistent
-        context backtracked and reusable.
+        ``deadline_s`` budgets the preprocessing proofs and the CDCL call in
+        wall-clock terms (absolute ``time.monotonic()`` deadline): past it
+        the solver raises :class:`repro.errors.CheckDeadlineExceeded` with
+        the persistent context backtracked and reusable.
         """
         started = _time.perf_counter()
         if depth < 1:
@@ -328,7 +324,7 @@ class SequentialUnroller:
             result.runtime_seconds = _time.perf_counter() - started
             return result
 
-        sim_model, goal_root = self._preprocess(result, miter)
+        sim_model, goal_root = self._preprocess(result, miter, deadline_s)
         if sim_model is not None:
             # A random input sequence already separates the two models:
             # divergence is witnessed with zero CDCL calls.
@@ -363,7 +359,7 @@ class SequentialUnroller:
         return self._preprocessor
 
     def _preprocess(
-        self, result: SequentialCheckResult, miter: int
+        self, result: SequentialCheckResult, miter: int, deadline_s: Optional[float]
     ) -> Tuple[Optional[Dict[int, int]], int]:
         """Sequential counterpart of the IPC engine's miter preprocessing.
 
@@ -374,7 +370,7 @@ class SequentialUnroller:
         pipeline itself is :class:`repro.aig.preprocess.Preprocessor`,
         shared with the IPC engine.
         """
-        outcome = self._get_preprocessor().run([miter])
+        outcome = self._get_preprocessor().run([miter], deadline_s=deadline_s)
         result.nodes_before = outcome.nodes_before
         result.nodes_after = outcome.nodes_after
         result.merged_nodes = outcome.merged_nodes

@@ -21,13 +21,16 @@ package:
 * :mod:`repro.exec.records` — the JSON-native class-record round-trip shared
   by worker transport and cache persistence, plus the report normalization
   helpers used by determinism tests and benchmarks.
+
+The session API (:mod:`repro.api.session`) is the one place that builds
+plans and executors: a single design, a batch at any ``--jobs`` and a job
+served by the audit daemon all plan and run through it.
 """
 
 from repro.exec.cache import ResultCache
 from repro.exec.executor import (
     ChunkOutcome,
     ChunkTask,
-    ContextSeed,
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
@@ -54,7 +57,6 @@ __all__ = [
     "ChunkOutcome",
     "ChunkTask",
     "ClassResult",
-    "ContextSeed",
     "DesignPlan",
     "DesignWorkContext",
     "Executor",

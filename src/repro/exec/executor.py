@@ -24,7 +24,6 @@ enqueued thanks to the bounded feeder).
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import queue as _queue
@@ -35,7 +34,7 @@ import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 #: Per-worker bound on live design contexts.  Each context holds a full
 #: IpcEngine (AIG + CNF + solver state), so an unbounded cache would grow
@@ -50,9 +49,6 @@ from repro.exec.records import (
     class_result_to_record,
 )
 from repro.exec.worker import DesignWorkContext, WorkUnit
-from repro.ipc.engine import IpcEngine
-from repro.rtl.fanout import FanoutAnalysis
-from repro.rtl.netlist import DependencyGraph
 
 
 @dataclass(frozen=True)
@@ -81,24 +77,8 @@ class ChunkOutcome:
     quarantined: bool = False
 
 
-@dataclass
-class ContextSeed:
-    """Pre-built collaborators for an in-process work context.
-
-    The serial executor accepts seeds so that a :class:`TrojanDetectionFlow`
-    can share its own engine/analysis/graph with the context that settles
-    its classes — keeping ``flow.engine`` meaningful and avoiding duplicate
-    structural analysis.  Pool workers never see seeds (engines do not cross
-    process boundaries); they build their own collaborators.
-    """
-
-    engine_factory: Optional[Callable[[], IpcEngine]] = None
-    analysis: Optional[FanoutAnalysis] = None
-    graph: Optional[DependencyGraph] = None
-
-
 class ContextPool:
-    """LRU-bounded per-design work contexts (one pool per worker).
+    """LRU-bounded per-design work contexts (one pool per executor or worker).
 
     Each context holds a full engine (AIG + CNF + solver state), so the
     pool is what keeps worker memory bounded on large batches while still
@@ -179,19 +159,22 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """In-process executor: one task at a time, computed when pulled."""
+    """In-process executor: one task at a time, computed when pulled.
 
-    def __init__(
-        self,
-        units: Dict[str, WorkUnit],
-        seeds: Optional[Dict[str, ContextSeed]] = None,
-    ) -> None:
-        self._units = units
-        self._seeds = dict(seeds or {})
+    Tasks run design-major, so the executor keeps a single work context:
+    the next design's first task drops the previous design's context, and
+    with it that design's engine, freed by reference counting.  However
+    many designs a batch queues, one context's engine is alive at a time
+    (plus, briefly, the engine of a canonical witness re-settle).
+    """
+
+    def __init__(self, units: Dict[str, WorkUnit]) -> None:
         # The pool's factory must not reach the executor: that cycle would
-        # keep every seeded flow and its engine alive until a full garbage
+        # keep the context and its engine alive until a full garbage
         # collection instead of freeing them when the audit ends.
-        self._contexts = ContextPool(functools.partial(_seeded_context, units, self._seeds))
+        self._contexts = ContextPool(
+            lambda design_key: DesignWorkContext(units[design_key]), capacity=1
+        )
         self._cancelled: Set[str] = set()
         self._pending: "deque[ChunkTask]" = deque()
         self._done: Dict[int, ChunkOutcome] = {}
@@ -241,20 +224,6 @@ class SerialExecutor(Executor):
 
     def close(self) -> None:
         self._contexts.clear()
-        self._seeds.clear()
-
-
-def _seeded_context(
-    units: Dict[str, WorkUnit], seeds: Dict[str, ContextSeed], design_key: str
-) -> DesignWorkContext:
-    seed = seeds.get(design_key, ContextSeed())
-    engine = seed.engine_factory() if seed.engine_factory is not None else None
-    return DesignWorkContext(
-        units[design_key],
-        engine=engine,
-        analysis=seed.analysis,
-        graph=seed.graph,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -597,10 +566,7 @@ class ProcessPoolExecutor(Executor):
 
 
 def create_executor(
-    jobs: int,
-    units: Dict[str, WorkUnit],
-    seeds: Optional[Dict[str, ContextSeed]] = None,
-    task_retries: int = 2,
+    jobs: int, units: Dict[str, WorkUnit], task_retries: int = 2
 ) -> Executor:
     """Executor factory: serial for ``jobs <= 1``, forked pool otherwise.
 
@@ -608,7 +574,7 @@ def create_executor(
     the serial executor with a warning rather than failing the audit.
     """
     if jobs <= 1:
-        return SerialExecutor(units, seeds=seeds)
+        return SerialExecutor(units)
     if "fork" not in multiprocessing.get_all_start_methods():
         warnings.warn(
             "multiprocessing 'fork' start method unavailable; "
@@ -616,5 +582,5 @@ def create_executor(
             RuntimeWarning,
             stacklevel=2,
         )
-        return SerialExecutor(units, seeds=seeds)
+        return SerialExecutor(units)
     return ProcessPoolExecutor(units, jobs, task_retries=task_retries)

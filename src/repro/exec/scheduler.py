@@ -250,6 +250,7 @@ class DesignPlan:
             config=self.config,
             analysis=self.analysis,
             golden=self.golden,
+            graph=self.graph,
         )
 
     def make_tasks(

@@ -2,17 +2,19 @@
 
 This module is the compute kernel of the execution subsystem.  A
 :class:`DesignWorkContext` owns everything one design needs to settle any of
-its property classes — the elaborated module, the fanout analysis, the
-dependency graph, and (crucially) one persistent :class:`IpcEngine` whose
+its property classes — the elaborated module, the fanout analysis and the
+dependency graph the scheduler built (both shipped in the
+:class:`WorkUnit`), and (crucially) one persistent :class:`IpcEngine` whose
 shared AIG and incremental solver context survive across every class the
 context settles.  Executors keep one context per design *per worker*, so
 clause reuse survives inside a worker even when the scheduler shards a
 design's classes across many workers.
 
-:meth:`DesignWorkContext.settle_class` is the single-class port of the
-scheduler loop that used to live inline in :mod:`repro.core.flow`: build the
-property, try the cheap structural discharge, then run the SAT settle loop
-with spurious-counterexample resolution (Sec. V-B scenario 1).  It returns a
+:meth:`DesignWorkContext.settle_class` settles one class of Algorithm 1:
+build the property, try the cheap structural discharge, then run the SAT
+settle loop with spurious-counterexample resolution (Sec. V-B scenario 1).
+One wall-clock deadline (``DetectionConfig.check_timeout_s``) bounds all of
+it, preprocessing included.  It returns a
 :class:`repro.exec.records.ClassResult` — events and outcome bundled — which
 is equally consumable in-process (serial executor) and across a process
 boundary (record round-trip).
@@ -47,11 +49,12 @@ class WorkUnit:
 
     Picklable by construction: pool workers receive the unit table once (via
     fork inheritance or the spawn pickle) and build their own contexts.
-    ``analysis`` ships the scheduler's already-computed fanout analysis so
-    workers do not recompute it per process (it is a pure function of
-    (module, config.inputs), so sharing it never changes results).
-    ``golden`` is the golden model of the sequential detection mode (None
-    for combinational work).
+    ``analysis`` and ``graph`` ship the scheduler's already-computed fanout
+    analysis and dependency graph, so serial contexts and forked workers
+    diagnose counterexamples on the one graph the parent built (both are
+    pure functions of the module and ``config.inputs``, so sharing them
+    never changes results).  ``golden`` is the golden model of the
+    sequential detection mode (None for combinational work).
     """
 
     key: str
@@ -60,6 +63,7 @@ class WorkUnit:
     config: DetectionConfig
     analysis: Optional[FanoutAnalysis] = None
     golden: Optional[Module] = None
+    graph: Optional[DependencyGraph] = None
 
 
 _EMPTY_STATS = {
@@ -80,19 +84,13 @@ _WORK_COUNTERS = ("solver_calls", "conflicts", "restarts", "learned_clauses", "d
 class DesignWorkContext:
     """Settles property classes of one design with engine affinity."""
 
-    def __init__(
-        self,
-        unit: WorkUnit,
-        engine: Optional[IpcEngine] = None,
-        analysis: Optional[FanoutAnalysis] = None,
-        graph: Optional[DependencyGraph] = None,
-    ) -> None:
+    def __init__(self, unit: WorkUnit) -> None:
         self._unit = unit
         self._module = unit.module
         self._config = unit.config
-        self._graph = graph
-        self._analysis = analysis if analysis is not None else unit.analysis
-        self._engine = engine
+        self._graph = unit.graph
+        self._analysis = unit.analysis
+        self._engine: Optional[IpcEngine] = None
         # Sequential-mode collaborators: one persistent unroller per context
         # (the sequential counterpart of the engine's clause-reuse affinity)
         # and the fixed output -> class mapping.
@@ -203,7 +201,7 @@ class DesignWorkContext:
         pay for it, and neither does a class whose fast path ran on an
         engine that had built nothing yet — that settle *is* the canonical
         one.  Classes settled on the RTL build nothing, so a serial audit
-        settles its first failing class once, on the flow's own engine.
+        settles its first failing class once, on the context's own engine.
         """
         if self._config.mode == "sequential":
             kind = "sequential"
@@ -218,8 +216,8 @@ class DesignWorkContext:
         """True when a settle now is itself the canonical witness settle.
 
         That holds while the context's solver state is as new: no
-        sequential unroller yet, or no IPC engine yet, or one, provided or
-        not, that has built nothing (:attr:`IpcEngine.pristine`).
+        sequential unroller yet, or no IPC engine yet, or one that has built
+        nothing (:attr:`IpcEngine.pristine`).
         """
         if self._config.mode == "sequential":
             return self._unroller is None
@@ -238,9 +236,7 @@ class DesignWorkContext:
         try:
             result = self._settle_once(k, deadline_s=deadline_s)
             if (result.rounds or result.terminal == "cex") and not canonical_already:
-                canonical = DesignWorkContext(
-                    self._unit, analysis=self._analysis, graph=self._graph
-                )
+                canonical = DesignWorkContext(self._unit)
                 result = canonical._settle_once(k, deadline_s=deadline_s)
                 # The re-proof's solver work happened on the canonical engine;
                 # fold it into this context's accounting so chunk deltas (and
@@ -395,7 +391,7 @@ class DesignWorkContext:
             )
             return ClassResult(terminal="structural", outcome=outcome, **base)
 
-        prepared = self.engine.begin_check(prop)
+        prepared = self.engine.begin_check(prop, deadline_s=deadline_s)
         if prepared.discharged:
             outcome = PropertyOutcome(
                 kind=kind, index=k, result=self.engine.finish_check(prepared)
@@ -444,7 +440,8 @@ class DesignWorkContext:
                     if deadline_s is not None and _time.monotonic() >= deadline_s:
                         raise CheckDeadlineExceeded("check deadline exceeded")
                     result = self.engine.finish_check(
-                        self.engine.begin_check(prop), deadline_s=deadline_s
+                        self.engine.begin_check(prop, deadline_s=deadline_s),
+                        deadline_s=deadline_s,
                     )
                     continue
             outcome = PropertyOutcome(

@@ -178,18 +178,13 @@ class IpcEngine:
     property's assumptions.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        persistent_instances: Tuple[int, ...] = (0,),
-    ) -> None:
+    def __init__(self, module: Module) -> None:
         self._module = module
         self._encoder = TransitionEncoder(module)
-        self._base_frames: Dict[int, List[SymbolicFrame]] = {}
-        # Frames of these instances are kept across check() calls; their leaves
+        # Instance 0's frames are kept across check() calls; their leaves
         # must never be rebound by assumption merging (a clause constraint is
         # used instead), otherwise one property could constrain the next.
-        self._persistent_instances = set(persistent_instances)
+        self._base_frames: List[SymbolicFrame] = []
         # One CNF builder + one incremental solver for the engine's lifetime:
         # the node→var cache and all emitted clauses persist, so overlapping
         # cones of later checks are never re-encoded or re-learned.
@@ -254,11 +249,8 @@ class IpcEngine:
     # Frame management
     # ------------------------------------------------------------------ #
 
-    def _frames_for_instance(self, instance: int, window: int, persistent: bool) -> List[SymbolicFrame]:
-        if persistent:
-            frames = self._base_frames.setdefault(instance, [])
-        else:
-            frames = []
+    def _frames_for_instance(self, instance: int, window: int) -> List[SymbolicFrame]:
+        frames = self._base_frames if instance == 0 else []
         if not frames:
             frames.append(self._encoder.new_frame(f"i{instance}@0"))
         while len(frames) <= window:
@@ -274,7 +266,9 @@ class IpcEngine:
         """Check one interval property; returns the result with optional CEX."""
         return self.finish_check(self.begin_check(prop))
 
-    def begin_check(self, prop: IntervalProperty) -> PreparedCheck:
+    def begin_check(
+        self, prop: IntervalProperty, deadline_s: Optional[float] = None
+    ) -> PreparedCheck:
         """Structural stage: merge assumptions, settle on the RTL or the AIG.
 
         Cheap (no SAT): a check whose commitment cones read only merged
@@ -284,7 +278,9 @@ class IpcEngine:
         literal vector is proven structurally.  The returned
         :class:`PreparedCheck` records whether SAT obligations remain; if
         so, :meth:`finish_check` settles them against the shared incremental
-        solver context.
+        solver context.  ``deadline_s`` (absolute ``time.monotonic()``)
+        bounds the SAT proofs of preprocessing; past it they raise
+        :class:`repro.errors.CheckDeadlineExceeded`.
         """
         started = _time.perf_counter()
         prop.validate()
@@ -310,11 +306,10 @@ class IpcEngine:
         with _obs_span("bitblast", prop=prop.name):
             frames: Dict[int, List[SymbolicFrame]] = {}
             for instance in instances:
-                # Persistent-instance frames survive across properties; the
-                # leaves of the other instances depend on the property's
-                # merge set, so they are rebuilt for every check.
-                persistent = instance in self._persistent_instances
-                frames[instance] = self._frames_for_instance(instance, window, persistent)
+                # Instance 0's frames survive across properties; the leaves
+                # of the other instances depend on the property's merge set,
+                # so they are rebuilt for every check.
+                frames[instance] = self._frames_for_instance(instance, window)
 
             merged, deferred = self._apply_assumption_merging(prop, frames, window)
             # A check settled on the RTL blasts only its leftover assumptions.
@@ -356,7 +351,7 @@ class IpcEngine:
                 if miter != FALSE:
                     prepared.miter = miter
                     prepared.needs_sat = True
-                    self._preprocess(prepared)
+                    self._preprocess(prepared, deadline_s)
         prepared.prepare_seconds = _time.perf_counter() - started
         result.runtime_seconds = prepared.prepare_seconds
         return prepared
@@ -370,7 +365,7 @@ class IpcEngine:
             self._preprocessor = Preprocessor(self._encoder.aig, self._context)
         return self._preprocessor
 
-    def _preprocess(self, prepared: PreparedCheck) -> None:
+    def _preprocess(self, prepared: PreparedCheck, deadline_s: Optional[float]) -> None:
         """Shrink a prepared check's SAT obligation before the solver sees it.
 
         Stage 1 — *sim-first falsification*: evaluate the miter together
@@ -391,7 +386,7 @@ class IpcEngine:
         """
         result = prepared.result
         roots = [prepared.miter] + list(prepared.clause_assumptions)
-        outcome = self._get_preprocessor().run(roots)
+        outcome = self._get_preprocessor().run(roots, deadline_s=deadline_s)
         result.nodes_before = outcome.nodes_before
         result.nodes_after = outcome.nodes_after
         result.merged_nodes = outcome.merged_nodes
@@ -474,7 +469,7 @@ class IpcEngine:
                 target, source = right, left
                 mergeable = (
                     self._is_free_leaf(right)
-                    and right.instance not in self._persistent_instances
+                    and right.instance != 0
                     and right.time <= window
                     and (right.instance, right.time, right.signal) not in bound
                     and module.width_of(left.signal) == module.width_of(right.signal)
@@ -484,7 +479,7 @@ class IpcEngine:
                 target, source = left, int(right)
                 mergeable = (
                     self._is_free_leaf(left)
-                    and left.instance not in self._persistent_instances
+                    and left.instance != 0
                     and (left.instance, left.time, left.signal) not in bound
                 )
             if mergeable and bind(target, source):
@@ -564,15 +559,12 @@ class IpcEngine:
         that its errors still show.
         """
         module = self._module
-        persistent = self._persistent_instances
-        if 0 not in persistent:
-            return None
         for constraint in (*prop.assumptions, *prop.commitments):
             terms = (constraint.left, constraint.right)
             if any(isinstance(term, Term) and term.signal not in module.signals for term in terms):
                 return None
         if any(
-            isinstance(assumption.right, Term) and assumption.left.instance not in persistent
+            isinstance(assumption.right, Term) and assumption.left.instance != 0
             for assumption in prop.assumptions
         ):
             # Binding to a term of a rebuilt instance builds part of its
@@ -622,7 +614,7 @@ class IpcEngine:
         if not (
             isinstance(right, Term)
             and left.instance == 0
-            and right.instance not in self._persistent_instances
+            and right.instance != 0
             and (right.signal, right.time) == (left.signal, left.time)
         ):
             return False

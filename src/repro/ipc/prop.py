@@ -47,9 +47,6 @@ class Equality:
     def __str__(self) -> str:
         return f"{self.left} == {self.right}"
 
-    def is_term_equality(self) -> bool:
-        return isinstance(self.right, Term)
-
 
 @dataclass
 class IntervalProperty:

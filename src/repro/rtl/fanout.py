@@ -81,9 +81,6 @@ class FanoutAnalysis:
             result |= self.classes.get(index, set())
         return result
 
-    def all_covered(self) -> Set[str]:
-        return self.signals_up_to(self.depth)
-
 
 def compute_fanout_classes(
     module: Module,

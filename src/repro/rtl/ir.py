@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.errors import ElaborationError
 from repro.rtl import exprs
@@ -68,16 +68,9 @@ class Module:
     def is_input(self, name: str) -> bool:
         return name in self.inputs
 
-    def is_output(self, name: str) -> bool:
-        return name in self.outputs
-
     def data_inputs(self) -> List[str]:
         """Primary inputs excluding clock and reset pins."""
         return [name for name in self.inputs if name not in self.clocks and name not in self.resets]
-
-    def state_signals(self) -> List[str]:
-        """All register names (the design's sequential state)."""
-        return list(self.registers)
 
     def state_and_output_signals(self) -> List[str]:
         """Registers plus primary outputs — the signal universe of Sec. IV-D."""
@@ -154,8 +147,3 @@ class Module:
     def ref(self, name: str) -> exprs.Ref:
         """Build a :class:`repro.rtl.exprs.Ref` with the declared width of ``name``."""
         return exprs.ref(name, self.width_of(name))
-
-
-def signals_of_kind(module: Module, names: Iterable[str]) -> Dict[str, int]:
-    """Utility: restrict the signal table to ``names`` preserving widths."""
-    return {name: module.width_of(name) for name in names}

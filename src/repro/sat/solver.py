@@ -792,14 +792,6 @@ class SatSolver:
         return self._conflicts
 
     @property
-    def total_decisions(self) -> int:
-        return self._decisions
-
-    @property
-    def total_propagations(self) -> int:
-        return self._propagations
-
-    @property
     def total_restarts(self) -> int:
         return self._restarts
 

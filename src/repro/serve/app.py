@@ -2,14 +2,14 @@
 
 ``repro serve`` runs one :class:`AuditServer`: a stdlib
 :class:`http.server.ThreadingHTTPServer` front end over the persistent
-:class:`repro.serve.queue.JobQueue`, with ``--jobs`` worker threads pulling
-claimed jobs through the existing scheduler/executor stack.  Every audit is
-forced to ``jobs=1`` internally — the worker pool is the parallelism, and
-forking solver processes out of a multi-threaded daemon is a correctness
-hazard — and every audit shares one warm
-:class:`repro.exec.cache.ResultCache` instance, so a resubmitted design (or
-a journal-recovered job after a crash) replays its settled property classes
-instead of re-solving them.
+:class:`repro.serve.queue.JobQueue`, with ``--jobs`` worker threads each
+auditing a claimed job through a :class:`repro.api.DetectionSession`, as
+``repro run`` does.  Every audit is forced to ``jobs=1`` internally — the
+worker pool is the parallelism, and forking solver processes out of a
+multi-threaded daemon is a correctness hazard — and every audit shares one
+warm result-cache directory (:class:`repro.exec.cache.ResultCache`), so a
+resubmitted design (or a journal-recovered job after a crash) replays its
+settled property classes instead of re-solving them.
 
 Endpoints (all JSON unless noted)::
 
@@ -40,14 +40,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.core.events import RunFinished
+from repro.api.session import DetectionSession
+from repro.core.events import SolverProgress
 from repro.core.report import SCHEMA_VERSION
 from repro.errors import ReproError
 from repro.exec.cache import ResultCache
-from repro.exec.executor import create_executor
-from repro.exec.scheduler import DesignPlan, run_plans
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import progress_sink
 from repro.serve import sse
 from repro.serve.protocol import (
     SERVE_PROTOCOL_VERSION,
@@ -302,29 +300,22 @@ class AuditServer:
         try:
             submission = submission_from_dict(job.submission)
             design = build_design(submission)
-            config = effective_config(
-                design, submission, self._cache_dir, self._use_cache
+            session = DetectionSession(
+                design,
+                config=effective_config(
+                    design, submission, self._cache_dir, self._use_cache
+                ),
             )
-            golden = design.golden_module() if config.mode == "sequential" else None
-            plan = DesignPlan.build(
-                key=job.id,
-                name=design.name,
-                module=design.module,
-                config=config,
-                cache=self.cache,
-                golden=golden,
-            )
-            executor = create_executor(1, {plan.key: plan.work_unit})
-            report: Optional[Dict[str, Any]] = None
             # Solver heartbeats feed the live SSE stream only: they are
             # transient progress, never journaled with the run's events.
-            with progress_sink(lambda event: runtime.append(event.to_dict())):
-                for event in run_plans([plan], executor):
-                    payload = event.to_dict()
-                    events.append(payload)
-                    runtime.append(payload)
-                    if isinstance(event, RunFinished):
-                        report = event.report.to_dict()
+            session.subscribe(
+                lambda event: runtime.append(event.to_dict()), SolverProgress
+            )
+            for event in session.iter_results():
+                payload = event.to_dict()
+                events.append(payload)
+                runtime.append(payload)
+            report = session.report.to_dict()
             # Record every metric before queue.finish publishes the terminal
             # state: a client that saw the job finish (and immediately
             # scraped /metrics) must already find it counted.
@@ -342,8 +333,13 @@ class AuditServer:
                     "repro_audit_run_seconds", _time.perf_counter() - run_started
                 )
             self._bump("failed")
+            if isinstance(error, ReproError):
+                # The job's own input is at fault (an unknown config field,
+                # a design that does not elaborate): its message says it all.
+                logger.warning("job %s failed: %s", job.id, error)
+            else:
+                logger.exception("job %s failed", job.id)
             self.queue.fail(job.id, f"{type(error).__name__}: {error}", events)
-            logger.exception("job %s failed", job.id)
         finally:
             # The runtime stays registered: late-attaching streamers of a
             # finished job replay the journal, but one that raced the

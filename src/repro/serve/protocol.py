@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.design import Design
-from repro.core.config import DetectionConfig, Waiver
+from repro.core.config import DetectionConfig
 from repro.errors import ReproError
 from repro.exec.fingerprint import (
     config_fingerprint,
@@ -174,27 +174,20 @@ def effective_config(
     """The configuration the daemon actually audits ``design`` with.
 
     The submitted config overlay keeps every *semantic* field; the daemon
-    then fills the design's own defaults the same way the CLI and
-    :meth:`repro.api.BatchSession.config_for` do (traced inputs when unset,
-    recommended waivers unless opted out) so a served audit and a local
-    ``repro run`` of the same design produce byte-identical normalized
-    reports.  Execution knobs are the daemon's to decide: audits always run
+    then fills the design's own defaults with
+    :meth:`repro.api.Design.fill_config`, as
+    :meth:`repro.api.BatchSession.config_for` does (traced inputs when
+    unset, recommended waivers unless opted out), so a served audit and a
+    local ``repro run`` of the same design produce byte-identical
+    normalized reports.  Execution knobs are the daemon's to decide: audits always run
     serially inside one worker thread (the pool provides the parallelism —
     forking from a multi-threaded daemon is not safe), against the daemon's
     shared result cache.
     """
-    config = DetectionConfig.from_dict(submission.config)
-    if config.inputs is None and design.data_inputs:
-        config = replace(config, inputs=list(design.data_inputs))
-    if submission.use_recommended_waivers and design.recommended_waivers:
-        waived = set(config.waived_signals())
-        extra = [
-            Waiver(signal=signal, reason=f"recommended for {design.name}")
-            for signal in design.recommended_waivers
-            if signal not in waived
-        ]
-        if extra:
-            config = replace(config, waivers=list(config.waivers) + extra)
+    config = design.fill_config(
+        DetectionConfig.from_dict(submission.config),
+        include_recommended_waivers=submission.use_recommended_waivers,
+    )
     if config.mode == "sequential" and design.golden_module() is None:
         raise ProtocolError(
             f"design {design.name!r} has no golden model for the sequential "

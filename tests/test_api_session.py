@@ -27,6 +27,7 @@ from repro.api import (
 )
 from repro.core.events import CexWaived, class_label
 from repro.errors import ConfigError, DesignError, ReproError
+from repro.ipc.engine import IpcEngine
 from repro.rtl.netlist import DependencyGraph
 
 PIPELINE_SOURCE = """
@@ -388,22 +389,59 @@ class TestBatchSession:
         assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
+@pytest.fixture()
+def live_engines(monkeypatch):
+    """Track every IpcEngine built in a test, with the cyclic collector off.
+
+    Yields the weak references to the engines, and a one-entry list holding
+    the most engines alive at once, sampled as each new one is built.
+    """
+    engines = []
+    most_alive = [0]
+    original_init = IpcEngine.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        engines.append(weakref.ref(self))
+        alive = sum(1 for engine in engines if engine() is not None)
+        most_alive[0] = max(most_alive[0], alive)
+
+    monkeypatch.setattr(IpcEngine, "__init__", tracking_init)
+    gc.collect()
+    gc.disable()
+    try:
+        yield engines, most_alive
+    finally:
+        gc.enable()
+
+
 class TestEngineLifetime:
-    def test_engine_freed_without_cyclic_collection(self):
-        # Dropping a finished session must free its engine by reference
-        # counting alone: a reference cycle would keep every audited
-        # design's AIG alive until a full collection.
-        gc.collect()
-        gc.disable()
-        try:
-            session = DetectionSession(Design.from_source(PIPELINE_SOURCE, top="pipe"))
-            session.run()
-            assert session.flow._lazy_engine is not None  # the run used it
-            engine = weakref.ref(session.flow.engine)
-            del session
-            assert engine() is None
-        finally:
-            gc.enable()
+    def test_engine_freed_without_cyclic_collection(self, live_engines):
+        # A finished session must free its engine by reference counting
+        # alone: a reference cycle would keep every audited design's AIG
+        # alive until a full collection.
+        engines, _ = live_engines
+        session = DetectionSession(Design.from_source(PIPELINE_SOURCE, top="pipe"))
+        session.run()
+        assert len(engines) == 1  # the run used one
+        assert engines[0]() is None
+
+    def test_serial_batch_holds_one_engine_at_a_time(self, live_engines):
+        # A serial batch settles every design on one executor, which keeps
+        # only the context of the design it is settling: each design's
+        # engine is freed once the next design starts, and the last one
+        # when the batch returns.
+        engines, most_alive = live_engines
+        designs = [
+            Design.from_source(PIPELINE_SOURCE, top="pipe"),
+            "RS232-HT-FREE",
+            "BasicRSA-HT-FREE",
+        ]
+        report = BatchSession(designs).run()
+        assert report.all_secure
+        assert len(engines) == 3
+        assert most_alive[0] == 1
+        assert all(engine() is None for engine in engines)
 
 
 class TestEventBase:

@@ -370,12 +370,12 @@ class TestCrashExitStatus:
 
     @pytest.mark.parametrize("command", ["run", "batch"])
     def test_crash_inside_an_audit_exits_two(self, command, clean_file, monkeypatch, capsys):
-        from repro.api import DetectionSession
+        from repro.exec.worker import DesignWorkContext
 
-        def overflowing_run(session):
+        def overflowing_settle(context, k):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(DetectionSession, "run", overflowing_run)
+        monkeypatch.setattr(DesignWorkContext, "settle_class", overflowing_settle)
         argv = (
             ["run", "--verilog", clean_file, "--top", "widget"]
             if command == "run"

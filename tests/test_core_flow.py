@@ -5,7 +5,6 @@ import pytest
 from repro.api import DetectionSession
 from repro.core import (
     DetectionConfig,
-    TrojanDetectionFlow,
     Verdict,
     Waiver,
     check_signal_coverage,
@@ -75,12 +74,11 @@ class TestDetectionFlow:
         report = DetectionSession(pipeline_module, config=DetectionConfig(max_class=1)).run()
         assert report.properties_checked() == 1
 
-    def test_flow_accessors(self, pipeline_module):
-        flow = TrojanDetectionFlow(pipeline_module)
-        assert flow.module is pipeline_module
-        assert flow.analysis.depth == 2
-        assert flow.config.cumulative_assumptions
-        assert flow.engine is not None
+    def test_session_accessors(self, pipeline_module):
+        session = DetectionSession(pipeline_module)
+        assert session.design.module is pipeline_module
+        assert session.design.analysis().depth == 2
+        assert session.config.cumulative_assumptions
 
     def test_report_runtime_and_summary(self, trojaned_module):
         report = DetectionSession(trojaned_module).run()
@@ -114,13 +112,11 @@ class TestDetectionFlow:
 
 
 class TestDiagnosis:
-    def _failing_outcome(self, module, config=None):
-        flow = TrojanDetectionFlow(module, config)
-        report = flow.run()
-        return flow, report
+    def _failing_report(self, module):
+        return DetectionSession(module, config=DetectionConfig()).run()
 
     def test_needs_review_cause_for_trigger_counter(self, trojaned_module):
-        flow, report = self._failing_outcome(trojaned_module)
+        report = self._failing_report(trojaned_module)
         diagnosis = report.diagnosis
         assert diagnosis is not None
         causes = {cause.signal: cause for cause in diagnosis.causes}
@@ -152,6 +148,6 @@ class TestDiagnosis:
         assert diagnosis.proposed_assumptions() == ["r2"]
 
     def test_cause_describe_strings(self, trojaned_module):
-        _, report = self._failing_outcome(trojaned_module)
+        report = self._failing_report(trojaned_module)
         for cause in report.diagnosis.causes:
             assert cause.signal in cause.describe()

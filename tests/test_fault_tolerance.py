@@ -10,6 +10,7 @@ runs for real in every CI run.
 
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,10 @@ from repro.exec.cache import ResultCache
 from repro.exec.executor import ChunkTask, ProcessPoolExecutor
 from repro.exec.faults import FAULTS_ENV, FaultPlan, FaultSpec, parse_fault_plan
 from repro.exec.records import normalized_report_dict
+from repro.sat.solver import SatSolver
+
+#: The SAT-heavy fixture: its fanout class 1 needs fraig proofs and CDCL.
+CUBE_WIDGET = Path(__file__).resolve().parent.parent / "benchmarks" / "cube_widget.v"
 
 CLEAN_SOURCE = """
 module widget(input clk, input [7:0] d, output [7:0] q);
@@ -83,6 +88,20 @@ def _pristine_fault_plan(monkeypatch):
     faults.set_plan(None)
 
 
+@pytest.fixture()
+def solve_deadlines(monkeypatch):
+    """The ``deadline_s`` of every ``SatSolver.solve`` call a test makes."""
+    deadlines = []
+    solve = SatSolver.solve
+
+    def recording_solve(solver, *args, **kwargs):
+        deadlines.append(kwargs.get("deadline_s"))
+        return solve(solver, *args, **kwargs)
+
+    monkeypatch.setattr(SatSolver, "solve", recording_solve)
+    return deadlines
+
+
 def _run(source=CLEAN_SOURCE, **overrides):
     design = Design.from_source(source, top="widget")
     return DetectionSession(design, config=DetectionConfig(**overrides)).run()
@@ -101,9 +120,8 @@ def _stall_own_check(clean_report) -> FaultPlan:
     """A plan that stalls the stall class's own CDCL call.
 
     Fraig's bounded proofs run on the same solver first and count as
-    ``solver_stall@check:N`` occurrences too, but carry no deadline.  The
-    class's own call, which carries the deadline, is the last SAT call of
-    the design's clean run.
+    ``solver_stall@check:N`` occurrences too.  The class's own call is the
+    last SAT call of the design's clean run.
     """
     return parse_fault_plan(f"solver_stall@check:{clean_report.solver_calls}")
 
@@ -271,6 +289,26 @@ class TestCheckDeadline:
         assert normalized_report_dict(stalled.to_dict()) == normalized_report_dict(
             plain.to_dict()
         )
+
+    def test_the_deadline_bounds_preprocessing_proofs(self, solve_deadlines):
+        # cube_widget's class 1 opens with fraig's bounded equivalence
+        # proofs.  Stalling the first of them must time the class out at
+        # once, not after the whole sweep and the class's own CDCL call.
+        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
+        design = Design.from_file(str(CUBE_WIDGET), top="cube_widget")
+        report = DetectionSession(
+            design, config=DetectionConfig(check_timeout_s=0.1)
+        ).run()
+        statuses = [outcome.status for outcome in report.outcomes]
+        assert statuses == ["ok", "timeout", "ok", "ok", "ok"]
+        assert len(solve_deadlines) == 1 and solve_deadlines[0] is not None
+
+    def test_the_deadline_bounds_sequential_preprocessing_proofs(self, solve_deadlines):
+        faults.set_plan(parse_fault_plan("solver_stall@check:1"))
+        report = _run_sequential(check_timeout_s=1.0)
+        [timed_out] = report.outcomes
+        assert timed_out.status == "timeout"
+        assert len(solve_deadlines) == 1 and solve_deadlines[0] is not None
 
     def test_timeout_outcomes_are_never_cached(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import BatchSession, Design, DetectionSession
-from repro.core import DetectionConfig
+from repro.core import DetectionConfig, DetectionReport, Verdict
 from repro.core.properties import build_init_property
 from repro.errors import BitblastError
 from repro.exec import normalized_report_dict
@@ -176,26 +176,27 @@ def test_whatever_the_rtl_settles_the_aig_discharges_structurally(check):
 
 
 def test_the_settle_agrees_with_the_aig_on_every_cold_table1_check(monkeypatch):
-    # With the settle off, and every engine treated as used so that each
-    # failing class is re-settled on a new one, a cold Table I audit makes
-    # the 200 checks of a flow that bit-blasts everything.  Each is also
-    # asked of the settle, which must fire only where the AIG proves every
-    # commitment, with one clause constraint per assumption left over.
+    # With the settle off, and every settle treated as one on a used engine
+    # so that each failing class is re-settled on a new one, a cold Table I
+    # audit makes the 200 checks of a flow that bit-blasts everything.  Each
+    # is also asked of the settle, which must fire only where the AIG
+    # proves every commitment, with one clause constraint per assumption
+    # left over.
     settle = IpcEngine._settle_on_rtl
     begin = IpcEngine.begin_check
     checks = []
 
-    def recording_begin(self, prop):
+    def recording_begin(self, prop, deadline_s=None):
         window = prop.window()
         planned, _ = self._merge_assumptions(prop, window, lambda target, source: True)
         settled = settle(self, prop, window)
-        prepared = begin(self, prop)
+        prepared = begin(self, prop, deadline_s)
         checks.append((settled, planned, prepared))
         return prepared
 
     monkeypatch.setattr(IpcEngine, "_settle_on_rtl", lambda self, prop, window: None)
     monkeypatch.setattr(IpcEngine, "begin_check", recording_begin)
-    monkeypatch.setattr(IpcEngine, "pristine", property(lambda self: False))
+    monkeypatch.setattr(DesignWorkContext, "_settles_canonically", lambda self: False)
     BatchSession(design_names()).run()
 
     assert len(checks) == 200
@@ -366,12 +367,35 @@ def test_a_serial_audit_settles_its_failing_class_once(aig_work):
     assert _normalized_line(report) == _fixture_line("AES-T100")
 
 
-def test_a_flow_whose_engine_was_used_still_re_settles(aig_work):
-    session = DetectionSession(Design.from_benchmark("AES-T100"))
-    flow = session.flow
-    probe = build_init_property(flow.module, flow.analysis, session.config)
-    assert not flow.engine.check(probe).holds
-    assert not flow.engine.pristine
-    report = session.run()
+def test_a_context_whose_engine_was_used_still_re_settles(aig_work):
+    # AES-T100 fails class 0, its init property.  Probe that property on a
+    # work context's own engine first: the settle then runs on a used
+    # engine and must re-settle canonically, on a second AIG, to report
+    # the fixture's outcome and witness.
+    design = Design.from_benchmark("AES-T100")
+    config = design.default_config()
+    unit = WorkUnit(
+        key=design.name,
+        name=design.name,
+        module=design.module,
+        config=config,
+        analysis=design.analysis(config.inputs),
+        graph=design.graph,
+    )
+    context = DesignWorkContext(unit)
+    probe = build_init_property(design.module, unit.analysis, config)
+    assert not context.engine.check(probe).holds
+    assert not context.engine.pristine
+    outcome = context.settle_class(0).outcome
     assert aig_work["aigs"] == 2
-    assert _normalized_line(report) == _fixture_line("AES-T100")
+    report = DetectionReport(
+        design=design.name,
+        verdict=Verdict.TROJAN_SUSPECTED,
+        outcomes=[outcome],
+        counterexample=outcome.result.cex,
+        diagnosis=outcome.diagnosis,
+    )
+    settled = normalized_report_dict(report.to_dict())
+    fixture = json.loads(_fixture_line("AES-T100"))
+    for key in ("outcomes", "counterexample", "diagnosis"):
+        assert settled[key] == fixture[key]

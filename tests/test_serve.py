@@ -10,6 +10,7 @@ result-cache sharing the daemon's warm cache relies on.
 """
 
 import json
+import logging
 import multiprocessing
 import os
 import socket
@@ -728,6 +729,33 @@ class TestServeAdmission:
             assert excinfo.value.status == 409
         finally:
             server.stop()
+
+
+    def test_a_job_failing_on_its_own_input_logs_one_line(self, tmp_path, caplog):
+        # An unknown config field is the job's own fault: the daemon logs
+        # its message as one warning, with no traceback.
+        caplog.set_level(logging.WARNING, logger="repro.serve")
+        server = AuditServer(port=0, queue_dir=str(tmp_path / "serve"), jobs=1)
+        server.start()
+        try:
+            job, _ = server.queue.submit(
+                "f" * 64,
+                {"benchmark": "RS232-HT-FREE", "config": {"simplify": False}},
+                design_name="RS232-HT-FREE",
+                mode="combinational",
+            )
+            final = ServeClient(server.url, timeout=10.0).wait(job.id, timeout=30.0)
+        finally:
+            server.stop()
+        assert final["state"] == "failed" and "simplify" in final["error"]
+        [record] = [
+            record
+            for record in caplog.records
+            if record.name == "repro.serve" and job.id in record.getMessage()
+        ]
+        assert record.levelno == logging.WARNING
+        assert "simplify" in record.getMessage()
+        assert record.exc_info is None
 
 
 # ---------------------------------------------------------------------- #

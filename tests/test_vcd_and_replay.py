@@ -4,10 +4,10 @@ import io
 
 import pytest
 
-from repro.core import TrojanDetectionFlow, replay_counterexample
+from repro.api import DetectionSession
+from repro.core import DetectionConfig, replay_counterexample
 from repro.sim import Simulator, Trace, trace_to_vcd_string, write_vcd
 from repro.trusthub import load_design, load_module
-from repro.core import DetectionConfig
 
 
 class TestVcdWriter:
@@ -103,8 +103,7 @@ class TestVcdWriter:
 
 class TestCounterexampleReplay:
     def test_replay_confirms_toy_trojan(self, trojaned_module):
-        flow = TrojanDetectionFlow(trojaned_module)
-        report = flow.run()
+        report = DetectionSession(trojaned_module, config=DetectionConfig()).run()
         assert report.counterexample is not None
         outcome = report.failing_outcome()
         replay = replay_counterexample(trojaned_module, outcome.result.prop, report.counterexample)
@@ -115,8 +114,7 @@ class TestCounterexampleReplay:
         assert len(replay.traces[0]) == len(replay.traces[1])
 
     def test_replay_traces_can_be_dumped_as_vcd(self, trojaned_module):
-        flow = TrojanDetectionFlow(trojaned_module)
-        report = flow.run()
+        report = DetectionSession(trojaned_module, config=DetectionConfig()).run()
         outcome = report.failing_outcome()
         replay = replay_counterexample(trojaned_module, outcome.result.prop, report.counterexample)
         text = trace_to_vcd_string(replay.traces[0], trojaned_module.signals)
@@ -125,8 +123,9 @@ class TestCounterexampleReplay:
     def test_replay_confirms_aes_t1400(self):
         design = load_design("AES-T1400")
         module = load_module("AES-T1400")
-        flow = TrojanDetectionFlow(module, DetectionConfig(inputs=list(design.data_inputs)))
-        report = flow.run()
+        report = DetectionSession(
+            module, config=DetectionConfig(inputs=list(design.data_inputs))
+        ).run()
         outcome = report.failing_outcome()
         replay = replay_counterexample(module, outcome.result.prop, report.counterexample)
         assert replay.confirmed
