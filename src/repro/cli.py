@@ -69,8 +69,7 @@ from repro.errors import ReproError
 from repro.trusthub import catalog, design_names, families
 
 #: Flag defaults are read off a default config, so tuning a library default
-#: can never silently diverge from what the CLI passes (the batch template
-#: comparison in _batch_template_from_args relies on this too).
+#: can never silently diverge from what the CLI passes.
 _CONFIG_DEFAULTS = DetectionConfig()
 
 
@@ -389,9 +388,15 @@ def _parse_reset_values(items: List[str]) -> Optional[dict]:
     return values
 
 
-def _shared_config_kwargs(args: argparse.Namespace) -> dict:
-    """Config fields that map 1:1 from CLI flags, shared by run and batch."""
-    return dict(
+def _config_template_from_args(args: argparse.Namespace) -> DetectionConfig:
+    """The config the flags of ``run``, ``batch`` and ``submit`` describe.
+
+    A template: each design fills in its own traced inputs and recommended
+    waivers with :meth:`Design.fill_config`, locally and on the daemon.
+    """
+    return DetectionConfig(
+        inputs=parse_input_list(args.inputs) if args.inputs is not None else None,
+        waivers=[Waiver(signal=name, reason="command line") for name in args.waive],
         cumulative_assumptions=not args.strict_paper_properties,
         stop_at_first_failure=not args.check_all,
         max_class=args.max_class,
@@ -405,36 +410,6 @@ def _shared_config_kwargs(args: argparse.Namespace) -> dict:
         task_retries=args.task_retries,
         check_timeout_s=args.check_timeout,
     )
-
-
-def _config_from_args(args: argparse.Namespace, design: Design) -> DetectionConfig:
-    if args.inputs is not None:
-        inputs: Optional[List[str]] = parse_input_list(args.inputs)
-    else:
-        inputs = list(design.data_inputs) or None
-    waivers = [Waiver(signal=name, reason="command line") for name in args.waive]
-    if not args.no_recommended_waivers:
-        waivers.extend(
-            Waiver(signal=name, reason=f"recommended for {design.name}")
-            for name in design.recommended_waivers
-        )
-    return DetectionConfig(inputs=inputs, waivers=waivers, **_shared_config_kwargs(args))
-
-
-def _batch_template_from_args(args: argparse.Namespace) -> Optional[DetectionConfig]:
-    """The batch's shared config template, or None when every flag is at its
-    default (letting each design's own recommended defaults apply).
-
-    Built unconditionally and compared against a default config, so a new
-    flag wired into :func:`_shared_config_kwargs` can never be silently
-    dropped by a hand-maintained any-flag-set condition.
-    """
-    template = DetectionConfig(
-        inputs=parse_input_list(args.inputs) if args.inputs is not None else None,
-        waivers=[Waiver(signal=name, reason="command line") for name in args.waive],
-        **_shared_config_kwargs(args),
-    )
-    return None if template == DetectionConfig() else template
 
 
 def _print_event(event: RunEvent, file=None) -> None:
@@ -521,7 +496,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                     golden_path=args.golden,
                 )
 
-        session = DetectionSession(design, config=_config_from_args(args, design))
+        config = design.fill_config(
+            _config_template_from_args(args),
+            include_recommended_waivers=not args.no_recommended_waivers,
+        )
+        session = DetectionSession(design, config=config)
         if args.verbose:
             event_stream = sys.stderr if args.json else sys.stdout
             # Heartbeats are transient (bus-only, never part of the merged
@@ -628,7 +607,7 @@ def _select_benchmarks(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 def _cmd_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     batch = BatchSession(
-        config=_batch_template_from_args(args),
+        config=_config_template_from_args(args),
         use_recommended_waivers=not args.no_recommended_waivers,
     )
     if args.verbose:
@@ -760,12 +739,7 @@ def _submission_config_dict(args: argparse.Namespace) -> dict:
     stripped; they never enter the config fingerprint either, so a served
     audit stays report-identical to a local ``run``.
     """
-    config = DetectionConfig(
-        inputs=parse_input_list(args.inputs) if args.inputs is not None else None,
-        waivers=[Waiver(signal=name, reason="command line") for name in args.waive],
-        **_shared_config_kwargs(args),
-    )
-    data = config.to_dict()
+    data = _config_template_from_args(args).to_dict()
     for knob in ("jobs", "cache_dir", "use_cache", "trace", "task_retries"):
         data.pop(knob, None)
     return data

@@ -12,7 +12,7 @@ signal set* (UCS) that the verification engineer must inspect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.rtl.fanout import FanoutAnalysis
 from repro.rtl.ir import Module

@@ -28,6 +28,11 @@ event — progress consumers should treat ``RunFinished`` (always the last
 event, carrying the complete report) as the end of the stream, not a
 terminal-event count.
 
+Each class declares its payload once, as dataclass fields.  The one wire
+codec on :class:`RunEvent` reads those fields, and :data:`WIRE_EVENT_TYPES`
+is derived from the class tree, so a new event class needs neither a
+serializer nor a registry entry.
+
 These classes are re-exported as the public :mod:`repro.api.events` surface;
 they live here so that the scheduler and the work contexts of
 :mod:`repro.exec` can emit them without importing the (higher-level) API
@@ -37,7 +42,8 @@ package.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import ReproError
@@ -73,18 +79,59 @@ class RunEvent:
     right class.  The wire form is what crosses process and network
     boundaries — the Server-Sent-Events feed of :mod:`repro.serve` streams
     exactly these dicts.
+
+    The form is read off the dataclass fields, so an event class declares
+    its payload once: every field is written, nested domain objects through
+    the codecs of :mod:`repro.core.report` (see :func:`_field_codecs`).  On
+    read, a field without a default is required, a field with one is
+    optional, and keys no field declares are ignored — events journaled by
+    older writers (whose ``RunStarted`` also named the SAT solver) replay
+    unchanged.
     """
 
     design: str
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-native wire form of this event (see :func:`event_from_dict`)."""
-        return {"event": type(self).__name__, "design": self.design}
+        codecs = _field_codecs()
+        data: Dict[str, Any] = {"event": type(self).__name__}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            codec = codecs.get(spec.name)
+            data[spec.name] = value if codec is None else codec[0](value)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunEvent":
         """Rebuild an event of exactly this class from its wire form."""
-        return cls(design=data["design"])
+        codecs = _field_codecs()
+        values: Dict[str, Any] = {}
+        for spec in fields(cls):
+            if spec.name not in data and spec.default is not MISSING:
+                continue
+            value = data[spec.name]
+            codec = codecs.get(spec.name)
+            values[spec.name] = value if codec is None else codec[1](value)
+        return cls(**values)
+
+
+@lru_cache(maxsize=None)
+def _field_codecs() -> Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]]:
+    """(encode, decode) of every event field whose value is not JSON-native.
+
+    Keyed by field name: a field called ``outcome`` always holds a
+    :class:`PropertyOutcome`, ``cex`` a counterexample (or None), and so
+    on.  Imported lazily — :mod:`repro.core.report` sits above this module.
+    """
+    from repro.core import report
+
+    return {
+        "outcome": (report.outcome_to_dict, report.outcome_from_dict),
+        "cex": (report.cex_to_dict, report.cex_from_dict),
+        "diagnosis": (report.diagnosis_to_dict, report.diagnosis_from_dict),
+        "report": (report.DetectionReport.to_dict, report.DetectionReport.from_dict),
+        "signals": (list, tuple),
+    }
 
 
 @dataclass(frozen=True)
@@ -98,21 +145,6 @@ class RunStarted(RunEvent):
     scheduled_classes: int
     workers: int = 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data.update(scheduled_classes=self.scheduled_classes, workers=self.workers)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunStarted":
-        # Events journaled by older writers also name the SAT solver they
-        # ran on; reading only these fields lets them replay unchanged.
-        return cls(
-            design=data["design"],
-            scheduled_classes=data["scheduled_classes"],
-            workers=data.get("workers", 1),
-        )
-
 
 @dataclass(frozen=True)
 class ClassEvent(RunEvent):
@@ -122,12 +154,10 @@ class ClassEvent(RunEvent):
 
     @property
     def label(self) -> str:
-        return class_label(self.index)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data["index"] = self.index
-        return data
+        """The class's name, from the event's outcome or own ``kind``."""
+        outcome = getattr(self, "outcome", None)
+        kind = outcome.kind if outcome is not None else getattr(self, "kind", None)
+        return class_label(self.index, kind)
 
 
 @dataclass(frozen=True)
@@ -137,29 +167,6 @@ class PropertyScheduled(ClassEvent):
     kind: str  # "init", "fanout", or "sequential"
     property_name: str
     commitments: int
-
-    @property
-    def label(self) -> str:
-        return class_label(self.index, self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data.update(
-            kind=self.kind,
-            property_name=self.property_name,
-            commitments=self.commitments,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PropertyScheduled":
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            kind=data["kind"],
-            property_name=data["property_name"],
-            commitments=data["commitments"],
-        )
 
 
 @dataclass(frozen=True)
@@ -173,28 +180,6 @@ class StructurallyDischarged(ClassEvent):
     outcome: "PropertyOutcome"
     from_cache: bool = False
 
-    @property
-    def label(self) -> str:
-        return self.outcome.label
-
-    def to_dict(self) -> Dict[str, Any]:
-        from repro.core.report import outcome_to_dict
-
-        data = super().to_dict()
-        data.update(outcome=outcome_to_dict(self.outcome), from_cache=self.from_cache)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "StructurallyDischarged":
-        from repro.core.report import outcome_from_dict
-
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            outcome=outcome_from_dict(data["outcome"]),
-            from_cache=data.get("from_cache", False),
-        )
-
 
 @dataclass(frozen=True)
 class ClassProven(ClassEvent):
@@ -207,33 +192,6 @@ class ClassProven(ClassEvent):
     outcome: "PropertyOutcome"
     solve_s: float = 0.0
     from_cache: bool = False
-
-    @property
-    def label(self) -> str:
-        return self.outcome.label
-
-    def to_dict(self) -> Dict[str, Any]:
-        from repro.core.report import outcome_to_dict
-
-        data = super().to_dict()
-        data.update(
-            outcome=outcome_to_dict(self.outcome),
-            solve_s=self.solve_s,
-            from_cache=self.from_cache,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassProven":
-        from repro.core.report import outcome_from_dict
-
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            outcome=outcome_from_dict(data["outcome"]),
-            solve_s=data.get("solve_s", 0.0),
-            from_cache=data.get("from_cache", False),
-        )
 
 
 @dataclass(frozen=True)
@@ -250,31 +208,6 @@ class ConeSimplified(ClassEvent):
     merged_nodes: int
     kind: str = "fanout"
 
-    @property
-    def label(self) -> str:
-        return class_label(self.index, self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data.update(
-            nodes_before=self.nodes_before,
-            nodes_after=self.nodes_after,
-            merged_nodes=self.merged_nodes,
-            kind=self.kind,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConeSimplified":
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            nodes_before=data["nodes_before"],
-            nodes_after=data["nodes_after"],
-            merged_nodes=data["merged_nodes"],
-            kind=data.get("kind", "fanout"),
-        )
-
 
 @dataclass(frozen=True)
 class ClassSimFalsified(ClassEvent):
@@ -286,23 +219,6 @@ class ClassSimFalsified(ClassEvent):
     """
 
     kind: str = "fanout"
-
-    @property
-    def label(self) -> str:
-        return class_label(self.index, self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data["kind"] = self.kind
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSimFalsified":
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            kind=data.get("kind", "fanout"),
-        )
 
 
 @dataclass(frozen=True)
@@ -326,33 +242,6 @@ class SolverProgress(ClassEvent):
     learned_clauses: int = 0
     decision_level: int = 0
 
-    @property
-    def label(self) -> str:
-        return class_label(self.index, self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data.update(
-            kind=self.kind,
-            conflicts=self.conflicts,
-            restarts=self.restarts,
-            learned_clauses=self.learned_clauses,
-            decision_level=self.decision_level,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SolverProgress":
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            kind=data.get("kind", "fanout"),
-            conflicts=data["conflicts"],
-            restarts=data["restarts"],
-            learned_clauses=data["learned_clauses"],
-            decision_level=data["decision_level"],
-        )
-
 
 @dataclass(frozen=True)
 class WorkerLost(ClassEvent):
@@ -372,29 +261,6 @@ class WorkerLost(ClassEvent):
     kind: str = "fanout"
     retries: int = 0
     quarantined: bool = False
-
-    @property
-    def label(self) -> str:
-        return class_label(self.index, self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data.update(
-            kind=self.kind,
-            retries=self.retries,
-            quarantined=self.quarantined,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "WorkerLost":
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            kind=data.get("kind", "fanout"),
-            retries=data.get("retries", 0),
-            quarantined=data.get("quarantined", False),
-        )
 
 
 @dataclass(frozen=True)
@@ -417,39 +283,6 @@ class CexFound(ClassEvent):
     #: makes the label correct without an outcome on the event.
     kind: str = "fanout"
 
-    @property
-    def label(self) -> str:
-        return class_label(self.index, self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        from repro.core.report import cex_to_dict, diagnosis_to_dict
-
-        data = super().to_dict()
-        data.update(
-            cex=cex_to_dict(self.cex),
-            diagnosis=diagnosis_to_dict(self.diagnosis),
-            auto_resolvable=self.auto_resolvable,
-            solve_s=self.solve_s,
-            from_cache=self.from_cache,
-            kind=self.kind,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CexFound":
-        from repro.core.report import cex_from_dict, diagnosis_from_dict
-
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            cex=cex_from_dict(data.get("cex")),
-            diagnosis=diagnosis_from_dict(data.get("diagnosis")),
-            auto_resolvable=data["auto_resolvable"],
-            solve_s=data.get("solve_s", 0.0),
-            from_cache=data.get("from_cache", False),
-            kind=data.get("kind", "fanout"),
-        )
-
 
 @dataclass(frozen=True)
 class CexWaived(ClassEvent):
@@ -461,19 +294,6 @@ class CexWaived(ClassEvent):
     """
 
     signals: Tuple[str, ...]
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data["signals"] = list(self.signals)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CexWaived":
-        return cls(
-            design=data["design"],
-            index=data["index"],
-            signals=tuple(data["signals"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -488,46 +308,26 @@ class RunFinished(RunEvent):
     report: "DetectionReport"
     elapsed_s: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        data = super().to_dict()
-        data.update(report=self.report.to_dict(), elapsed_s=self.elapsed_s)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunFinished":
-        from repro.core.report import DetectionReport
-
-        return cls(
-            design=data["design"],
-            report=DetectionReport.from_dict(data["report"]),
-            elapsed_s=data.get("elapsed_s", 0.0),
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Wire-format dispatch
 # ---------------------------------------------------------------------- #
 
+
+def _subclasses(cls: Type[RunEvent]) -> List[Type[RunEvent]]:
+    """Every class below ``cls`` in the event class tree, depth first."""
+    below: List[Type[RunEvent]] = []
+    for sub in cls.__subclasses__():
+        below.append(sub)
+        below.extend(_subclasses(sub))
+    return below
+
+
 #: Every concrete event type that can cross a process or network boundary,
-#: keyed by the class name ``to_dict()`` stamps under the ``"event"`` key.
-#: A new event class must be added here (the wire round-trip test walks the
-#: ``RunEvent`` subclass tree and fails on any concrete class missing from
-#: this registry).
+#: keyed by the class name ``to_dict()`` stamps under the ``"event"`` key:
+#: every class of the ``RunEvent`` tree but the ``ClassEvent`` base.
 WIRE_EVENT_TYPES: Dict[str, Type[RunEvent]] = {
-    cls.__name__: cls
-    for cls in (
-        RunStarted,
-        PropertyScheduled,
-        ConeSimplified,
-        ClassSimFalsified,
-        SolverProgress,
-        WorkerLost,
-        StructurallyDischarged,
-        ClassProven,
-        CexFound,
-        CexWaived,
-        RunFinished,
-    )
+    cls.__name__: cls for cls in _subclasses(RunEvent) if cls is not ClassEvent
 }
 
 

@@ -18,7 +18,7 @@ values for the property window and compares the signals the property proved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ipc.cex import CounterExample
 from repro.ipc.prop import IntervalProperty, Term

@@ -195,20 +195,6 @@ class SequentialUnroller:
     def common_outputs(self) -> List[str]:
         return sequential_output_classes(self._design, self._golden)
 
-    def stats(self) -> Dict[str, object]:
-        """Snapshot of the shared solver-context statistics (engine-shaped)."""
-        context = self._context
-        return {
-            "solver_calls": context.solve_calls,
-            "conflicts": context.cumulative_conflicts,
-            "restarts": context.cumulative_restarts,
-            "learned_clauses": context.cumulative_learned_clauses,
-            "deleted_clauses": context.cumulative_deleted_clauses,
-            "cnf_vars": context.num_vars,
-            "cnf_clauses": context.num_clauses,
-            "aig_nodes": self._aig.num_nodes,
-        }
-
     # ------------------------------------------------------------------ #
     # Unrolling
     # ------------------------------------------------------------------ #

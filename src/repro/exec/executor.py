@@ -12,10 +12,14 @@ out-of-order as the hardware allows.
 * :class:`ProcessPoolExecutor` runs tasks on ``--jobs`` forked worker
   processes pulling from one shared queue.  The shared queue *is* the
   work-stealing mechanism: an idle worker steals the next pending shard no
-  matter which design it belongs to.  Each worker keeps one
-  :class:`DesignWorkContext` per design, so the per-worker ``IpcEngine`` /
-  ``SatContext`` affinity preserves clause reuse inside a worker.  Results
-  travel back as JSON-native records (:mod:`repro.exec.records`).
+  matter which design it belongs to.  Tasks leave the queue in submission
+  order, which is design-major, so each worker holds the one
+  :class:`DesignWorkContext` of the design it is settling: its
+  ``IpcEngine`` / ``SolverContext`` keep their clause reuse across the
+  design's shards, and the worker drops them when it moves on.  A retried
+  task of an earlier design gets a fresh context; the determinism contract
+  makes its results identical.  Results travel back as JSON-native
+  records (:mod:`repro.exec.records`).
 
 ``cancel_design`` makes abandoning a design cheap after a failing class:
 tasks not yet handed out are dropped (serial: skipped inline; pool: never
@@ -32,14 +36,9 @@ import sys
 import traceback
 import warnings
 from abc import ABC, abstractmethod
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Set, Tuple
-
-#: Per-worker bound on live design contexts.  Each context holds a full
-#: IpcEngine (AIG + CNF + solver state), so an unbounded cache would grow
-#: with batch size; least-recently-used designs are evicted beyond this.
-MAX_CONTEXTS_PER_WORKER = 4
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.exec import faults as _faults
@@ -77,39 +76,18 @@ class ChunkOutcome:
     quarantined: bool = False
 
 
-class ContextPool:
-    """LRU-bounded per-design work contexts (one pool per executor or worker).
+def _context_for(
+    context: Optional[DesignWorkContext], units: Dict[str, WorkUnit], design_key: str
+) -> DesignWorkContext:
+    """The work context settling ``design_key``.
 
-    Each context holds a full engine (AIG + CNF + solver state), so the
-    pool is what keeps worker memory bounded on large batches while still
-    giving recently used designs their clause-reuse affinity.
+    ``context`` itself when it already settles that design, else a fresh
+    one: a serial executor or pool worker holds one context at a time, and
+    the caller's reassignment drops the previous design's engine.
     """
-
-    def __init__(
-        self,
-        factory: Callable[[str], DesignWorkContext],
-        capacity: int = MAX_CONTEXTS_PER_WORKER,
-    ) -> None:
-        self._factory = factory
-        self._capacity = capacity
-        self._contexts: "OrderedDict[str, DesignWorkContext]" = OrderedDict()
-
-    def get(self, design_key: str) -> DesignWorkContext:
-        context = self._contexts.get(design_key)
-        if context is None:
-            context = self._factory(design_key)
-            self._contexts[design_key] = context
-            while len(self._contexts) > self._capacity:
-                self._contexts.popitem(last=False)
-        else:
-            self._contexts.move_to_end(design_key)
-        return context
-
-    def clear(self) -> None:
-        self._contexts.clear()
-
-    def __len__(self) -> int:
-        return len(self._contexts)
+    if context is None or context.unit.key != design_key:
+        context = DesignWorkContext(units[design_key])
+    return context
 
 
 class Executor(ABC):
@@ -169,12 +147,8 @@ class SerialExecutor(Executor):
     """
 
     def __init__(self, units: Dict[str, WorkUnit]) -> None:
-        # The pool's factory must not reach the executor: that cycle would
-        # keep the context and its engine alive until a full garbage
-        # collection instead of freeing them when the audit ends.
-        self._contexts = ContextPool(
-            lambda design_key: DesignWorkContext(units[design_key]), capacity=1
-        )
+        self._units = units
+        self._context: Optional[DesignWorkContext] = None
         self._cancelled: Set[str] = set()
         self._pending: "deque[ChunkTask]" = deque()
         self._done: Dict[int, ChunkOutcome] = {}
@@ -209,8 +183,8 @@ class SerialExecutor(Executor):
                 worker="serial-0",
                 skipped=True,
             )
-        context = self._contexts.get(task.design_key)
-        results, stats = context.run_chunk(task.indices, task.stop_on_failure)
+        self._context = _context_for(self._context, self._units, task.design_key)
+        results, stats = self._context.run_chunk(task.indices, task.stop_on_failure)
         return ChunkOutcome(
             task_id=task.task_id,
             design_key=task.design_key,
@@ -223,7 +197,7 @@ class SerialExecutor(Executor):
         self._cancelled.add(design_key)
 
     def close(self) -> None:
-        self._contexts.clear()
+        self._context = None
 
 
 # ---------------------------------------------------------------------- #
@@ -232,7 +206,7 @@ class SerialExecutor(Executor):
 
 
 def _pool_worker_main(worker_name, units, task_queue, result_queue, claim_queue) -> None:
-    """Worker loop: steal tasks, settle them with per-design engine affinity.
+    """Worker loop: steal tasks, settle them on the current design's context.
 
     Runs in the child process.  Every exception is reported as a message,
     never as a dead worker, so the parent can fail loudly with the original
@@ -256,15 +230,15 @@ def _pool_worker_main(worker_name, units, task_queue, result_queue, claim_queue)
     # its counters start fresh (a respawned worker does too, which is what
     # makes worker_kill@task:N a retryable fault rather than a fatal loop).
     _faults.set_plan(None)
-    contexts = ContextPool(lambda design_key: DesignWorkContext(units[design_key]))
+    context: Optional[DesignWorkContext] = None
     while True:
         task = task_queue.get()
         if task is None:
-            # Exit without freeing the heap: tearing down up to
-            # MAX_CONTEXTS_PER_WORKER engines object by object is time the
-            # parent's close() would wait for.  Everything the parent reads
-            # is flushed first: the output streams, and the result queue's
-            # feeder thread, as on the worker_kill path below.
+            # Exit without freeing the heap: tearing down the context's
+            # engine object by object is time the parent's close() would
+            # wait for.  Everything the parent reads is flushed first: the
+            # output streams, and the result queue's feeder thread, as on
+            # the worker_kill path below.
             sys.stdout.flush()
             sys.stderr.flush()
             result_queue.close()
@@ -282,7 +256,7 @@ def _pool_worker_main(worker_name, units, task_queue, result_queue, claim_queue)
             result_queue.join_thread()
             os.kill(os.getpid(), signal.SIGKILL)
         try:
-            context = contexts.get(task.design_key)
+            context = _context_for(context, units, task.design_key)
             results, stats = context.run_chunk(task.indices, task.stop_on_failure)
             records = [class_result_to_record(result) for result in results]
             result_queue.put((task.task_id, task.design_key, records, stats, worker_name, None))

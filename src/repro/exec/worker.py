@@ -6,9 +6,10 @@ its property classes — the elaborated module, the fanout analysis and the
 dependency graph the scheduler built (both shipped in the
 :class:`WorkUnit`), and (crucially) one persistent :class:`IpcEngine` whose
 shared AIG and incremental solver context survive across every class the
-context settles.  Executors keep one context per design *per worker*, so
-clause reuse survives inside a worker even when the scheduler shards a
-design's classes across many workers.
+context settles.  A serial executor or pool worker holds the context of
+the design it is settling, and tasks reach it design-major, so clause reuse
+survives across the shards of one design that a worker takes in turn,
+even when the scheduler shards a design's classes across many workers.
 
 :meth:`DesignWorkContext.settle_class` settles one class of Algorithm 1:
 build the property, try the cheap structural discharge, then run the SAT
@@ -66,19 +67,17 @@ class WorkUnit:
     graph: Optional[DependencyGraph] = None
 
 
-_EMPTY_STATS = {
-    "solver_calls": 0,
-    "conflicts": 0,
-    "restarts": 0,
-    "learned_clauses": 0,
-    "deleted_clauses": 0,
-    "cnf_clauses": 0,
-}
-
 #: Solver-work counters accumulated across engines (the persistent one plus
-#: every canonical re-settle engine); CNF size is excluded — it is a
-#: snapshot of the persistent encoding, not accumulable work.
-_WORK_COUNTERS = ("solver_calls", "conflicts", "restarts", "learned_clauses", "deleted_clauses")
+#: every canonical re-settle engine), each with the attribute of
+#: :class:`repro.sat.context.SolverContext` it reads; CNF size is excluded —
+#: it is a snapshot of the persistent encoding, not accumulable work.
+_WORK_COUNTERS = {
+    "solver_calls": "solve_calls",
+    "conflicts": "cumulative_conflicts",
+    "restarts": "cumulative_restarts",
+    "learned_clauses": "cumulative_learned_clauses",
+    "deleted_clauses": "cumulative_deleted_clauses",
+}
 
 
 class DesignWorkContext:
@@ -161,16 +160,16 @@ class DesignWorkContext:
         return self._sequential_outputs
 
     def stats_snapshot(self) -> Dict[str, int]:
-        snapshot = dict(_EMPTY_STATS)
-        for counter in _WORK_COUNTERS:
-            snapshot[counter] = self._extra_stats[counter]
+        """This context's solver work so far, read off its solver contexts,
+        plus the persistent encoding's ``cnf_clauses``."""
+        snapshot = dict(self._extra_stats, cnf_clauses=0)
         for holder in (self._engine, self._unroller):
             if holder is None:
                 continue
-            stats = holder.stats()
-            for counter in _WORK_COUNTERS:
-                snapshot[counter] += stats[counter]
-            snapshot["cnf_clauses"] += stats["cnf_clauses"]
+            context = holder.solver_context
+            for counter, attribute in _WORK_COUNTERS.items():
+                snapshot[counter] += getattr(context, attribute)
+            snapshot["cnf_clauses"] += context.num_clauses
         return snapshot
 
     # ------------------------------------------------------------------ #

@@ -105,19 +105,15 @@ class PropertyCheckResult:
     runtime_seconds: float = 0.0
     sat_conflicts: int = 0
     sat_decisions: int = 0
-    aig_nodes: int = 0
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
     merged_assumptions: int = 0
     clause_assumptions: int = 0
     # Incremental-solving statistics: clauses newly encoded for this check vs.
-    # clauses already present in the persistent solver context, the number of
-    # SAT calls this check issued (0 when discharged without the solver), and
-    # the context's conflict total after the check.
+    # clauses already present in the persistent solver context, and the
+    # number of SAT calls this check issued (0 when discharged without the
+    # solver).
     cnf_new_clauses: int = 0
     cnf_reused_clauses: int = 0
     solver_calls: int = 0
-    cumulative_conflicts: int = 0
     # Preprocessing telemetry (:mod:`repro.aig` simvec/simplify/fraig):
     # whether bit-parallel random simulation falsified the miter without any
     # CDCL call, the miter-cone size before and after the fraig sweep, the
@@ -226,25 +222,6 @@ class IpcEngine:
             and self._context.solve_calls == 0
         )
 
-    def stats(self) -> Dict[str, object]:
-        """Snapshot of the engine's shared solver-context statistics.
-
-        One flat dict so that schedulers and reports never need to reach into
-        the context object: number of SAT calls issued, total conflicts,
-        and the size of the persistent CNF encoding.
-        """
-        context = self._context
-        return {
-            "solver_calls": context.solve_calls,
-            "conflicts": context.cumulative_conflicts,
-            "restarts": context.cumulative_restarts,
-            "learned_clauses": context.cumulative_learned_clauses,
-            "deleted_clauses": context.cumulative_deleted_clauses,
-            "cnf_vars": context.num_vars,
-            "cnf_clauses": context.num_clauses,
-            "aig_nodes": self._encoder.aig.num_nodes,
-        }
-
     # ------------------------------------------------------------------ #
     # Frame management
     # ------------------------------------------------------------------ #
@@ -292,7 +269,6 @@ class IpcEngine:
                 holds=True,
                 structurally_proven=True,
                 merged_assumptions=settled[0],
-                aig_nodes=self._encoder.aig.num_nodes,
             )
             prepared = PreparedCheck(
                 prop=prop, result=result, frames={}, obligations=[],
@@ -332,7 +308,6 @@ class IpcEngine:
             structurally_proven=not pending and not clause_assumptions,
             merged_assumptions=merged,
             clause_assumptions=len(clause_assumptions),
-            aig_nodes=self._encoder.aig.num_nodes,
         )
         prepared = PreparedCheck(
             prop=prop,
@@ -723,12 +698,9 @@ class IpcEngine:
         ]
         result = prepared.result
         outcome = context.solve(assumption_literals + [goal_literal], deadline_s=deadline_s)
-        result.cnf_vars = context.num_vars
-        result.cnf_clauses = context.num_clauses
         result.cnf_new_clauses = outcome.new_clauses
         result.cnf_reused_clauses = outcome.reused_clauses
         result.solver_calls = 1
-        result.cumulative_conflicts = context.cumulative_conflicts
         result.sat_conflicts = outcome.result.conflicts
         result.sat_decisions = outcome.result.decisions
         if not outcome.satisfiable:

@@ -38,7 +38,7 @@ from repro.core.events import SolverProgress
 #: trades SSE chatter against latency of the first sign of life.
 HEARTBEAT_CONFLICTS = 1000
 
-_sink: contextvars.ContextVar[Optional[Tuple[Callable[[SolverProgress], None], int]]] = (
+_sink: contextvars.ContextVar[Optional[Callable[[SolverProgress], None]]] = (
     contextvars.ContextVar("repro_progress_sink", default=None)
 )
 _scope: contextvars.ContextVar[Optional[Tuple[str, int, str]]] = contextvars.ContextVar(
@@ -65,18 +65,14 @@ class _SetRestore:
         self._var.set(self._previous)
 
 
-def progress_sink(
-    callback: Callable[[SolverProgress], None],
-    interval: Optional[int] = None,
-) -> _SetRestore:
+def progress_sink(callback: Callable[[SolverProgress], None]) -> _SetRestore:
     """Install ``callback`` as the heartbeat sink for the ``with`` block.
 
-    ``interval`` overrides :data:`HEARTBEAT_CONFLICTS` for this sink.  The
-    callback runs on the solving thread, mid-solve — it must be fast and
+    The callback runs on the solving thread, mid-solve — it must be fast and
     must not raise (a raising sink aborts the solve, like any unsafe
     EventBus subscriber would abort a run).
     """
-    return _SetRestore(_sink, (callback, interval))
+    return _SetRestore(_sink, callback)
 
 
 def progress_scope(design: str, index: int, kind: str) -> _SetRestore:
@@ -138,16 +134,11 @@ def active_heartbeat() -> Optional[_Heartbeat]:
     a sink without class scope (e.g. solver use outside the detection
     flow) emits nothing rather than mislabeled events.
     """
-    sink = _sink.get()
-    if sink is None:
+    callback = _sink.get()
+    if callback is None:
         return None
     scope = _scope.get()
     if scope is None:
         return None
-    callback, interval = sink
-    if interval is None:
-        interval = HEARTBEAT_CONFLICTS
-    if interval <= 0:
-        return None
     design, index, kind = scope
-    return _Heartbeat(callback, interval, design, index, kind)
+    return _Heartbeat(callback, HEARTBEAT_CONFLICTS, design, index, kind)

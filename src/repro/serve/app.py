@@ -49,7 +49,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import sse
 from repro.serve.protocol import (
     SERVE_PROTOCOL_VERSION,
-    ProtocolError,
     QuotaExceededError,
     build_design,
     effective_config,
@@ -180,14 +179,6 @@ class AuditServer:
         metrics.counter(
             "repro_preprocess_nodes_removed_total",
             "AIG cone nodes removed by preprocessing across served audits",
-        )
-        metrics.counter(
-            "repro_workers_lost_total",
-            "Pool worker processes lost mid-task across served audits",
-        )
-        metrics.counter(
-            "repro_tasks_retried_total",
-            "Tasks re-queued after a worker loss across served audits",
         )
         metrics.counter(
             "repro_journal_corrupt_total",
@@ -364,8 +355,6 @@ class AuditServer:
         execution = report.get("execution") or {}
         self.metrics.inc("repro_cache_hits_total", execution.get("cache_hits", 0))
         self.metrics.inc("repro_cache_misses_total", execution.get("cache_misses", 0))
-        self.metrics.inc("repro_workers_lost_total", execution.get("workers_lost", 0))
-        self.metrics.inc("repro_tasks_retried_total", execution.get("tasks_retried", 0))
         preprocess = report.get("preprocess") or {}
         removed = preprocess.get("nodes_before", 0) - preprocess.get("nodes_after", 0)
         if removed > 0:

@@ -16,7 +16,6 @@ results are directly comparable with
 from __future__ import annotations
 
 import functools
-from typing import List
 
 from repro.crypto.aes_ref import SBOX
 

@@ -33,7 +33,7 @@ Payloads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import DesignError
 from repro.trusthub.aes_core import aes_library_verilog, aes_top_verilog

@@ -8,7 +8,7 @@ parameters, flattens hierarchy and converts processes into the RTL IR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 
 # --------------------------------------------------------------------------- #

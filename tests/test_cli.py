@@ -278,6 +278,18 @@ class TestExecutionFlags:
         data = json.loads(capsys.readouterr().out)
         assert data["execution"]["cache_hits"] == 0
 
+    def test_run_and_batch_fill_one_config(self, tmp_path, capsys):
+        # `run` and `batch` fill a benchmark's recommended waivers the same
+        # way, so a waiver named on the command line as well is waived once
+        # and the batch replays every class the run cached.
+        cache_dir = str(tmp_path / "cache")
+        flags = ["--waive", "started", "--cache-dir", cache_dir, "--json"]
+        assert main(["run", "--benchmark", "BasicRSA-HT-FREE"] + flags) == 0
+        capsys.readouterr()
+        assert main(["batch", "BasicRSA-HT-FREE"] + flags) == 0
+        execution = json.loads(capsys.readouterr().out)["execution"]
+        assert (execution["cache_hits"], execution["cache_misses"]) == (10, 0)
+
     def test_batch_jobs_flag(self, capsys):
         assert main(["batch", "RS232-HT-FREE", "--jobs", "2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

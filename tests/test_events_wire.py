@@ -10,6 +10,7 @@ change a run's report).
 
 import json
 import logging
+import os
 
 import pytest
 
@@ -77,7 +78,6 @@ def harvested_events():
     # Load the sibling conftest by path: a bare `import conftest` can
     # resolve to another directory's conftest in a full-repo pytest run.
     import importlib.util
-    import os
 
     spec = importlib.util.spec_from_file_location(
         "_tests_conftest", os.path.join(os.path.dirname(__file__), "conftest.py")
@@ -190,6 +190,16 @@ class TestWireRoundTrip:
             assert (restored.diagnosis is None) == (event.diagnosis is None)
             assert restored.label == event.label
 
+    def test_committed_wire_payloads_are_fixed_points(self):
+        # One payload of every harvested event, as an earlier writer emitted
+        # it: each must decode and re-encode to exactly the same dict.
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "event_wire.jsonl")
+        with open(path, encoding="utf-8") as handle:
+            payloads = [json.loads(line) for line in handle]
+        assert {payload["event"] for payload in payloads} == set(WIRE_EVENT_TYPES)
+        for payload in payloads:
+            assert event_from_dict(payload).to_dict() == payload
+
     def test_run_started_journaled_by_an_older_writer_still_decodes(self):
         # Older writers named the SAT solver in every RunStarted; a daemon
         # replaying its journal must still decode those events.
@@ -216,6 +226,18 @@ class TestWireDispatchErrors:
     def test_malformed_payload_is_a_repro_error(self):
         with pytest.raises(ReproError, match="malformed RunStarted"):
             event_from_dict({"event": "RunStarted", "design": "pipe"})
+
+    def test_fields_with_defaults_are_optional_on_read(self):
+        wire = {"event": "SolverProgress", "design": "pipe", "index": 1}
+        assert event_from_dict(wire) == SolverProgress(design="pipe", index=1)
+
+    def test_fields_without_defaults_are_required_even_when_nullable(self):
+        wire = {"event": "CexFound", "design": "pipe", "index": 1, "cex": None,
+                "diagnosis": None, "auto_resolvable": False}
+        assert event_from_dict(wire).cex is None
+        del wire["diagnosis"]
+        with pytest.raises(ReproError, match="malformed CexFound"):
+            event_from_dict(wire)
 
 
 class TestEventBusIdentitySubscriptions:

@@ -207,12 +207,10 @@ class TestExecutors:
         assert 1 <= report.workers <= 16
         assert report.workers <= len(report.outcomes) * 2  # bounded by shards
 
-    def test_serial_executor_evicts_least_recently_used_contexts(self):
-        from repro.exec.executor import MAX_CONTEXTS_PER_WORKER
-
+    def test_serial_executor_holds_only_the_last_designs_context(self):
         units = {}
         tasks = []
-        for position in range(MAX_CONTEXTS_PER_WORKER + 2):
+        for position in range(3):
             module = elaborate_source(CLEAN_SOURCE, "widget")
             key = f"k{position}"
             units[key] = WorkUnit(
@@ -227,7 +225,14 @@ class TestExecutors:
         executor.submit(tasks)
         outcomes = [executor.wait(task.task_id) for task in tasks]
         assert len(outcomes) == len(tasks)
-        assert len(executor._contexts) <= MAX_CONTEXTS_PER_WORKER
+        assert executor._context.unit is units["k2"]
+        # A task of a design the executor has left gets a fresh context.
+        last = executor._context
+        executor.submit([ChunkTask(task_id=3, design_key="k0", indices=(0,),
+                                   stop_on_failure=True)])
+        executor.wait(3)
+        assert executor._context.unit is units["k0"]
+        assert executor._context is not last
 
     def test_serial_executor_cancel_design_skips_pending_tasks(self):
         unit = _unit()

@@ -181,9 +181,10 @@ class TestProgressHeartbeats:
         with obs_progress.progress_sink(lambda event: None):
             assert obs_progress.active_heartbeat() is None  # scope missing
 
-    def test_heartbeat_emits_solver_progress(self):
+    def test_heartbeat_emits_solver_progress(self, monkeypatch):
+        monkeypatch.setattr(obs_progress, "HEARTBEAT_CONFLICTS", 100)
         got = []
-        with obs_progress.progress_sink(got.append, interval=100):
+        with obs_progress.progress_sink(got.append):
             with obs_progress.progress_scope("dsn", 2, "fanout"):
                 heartbeat = obs_progress.active_heartbeat()
                 assert heartbeat is not None and heartbeat.interval == 100
